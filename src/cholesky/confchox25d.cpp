@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 
+#include "factor/sliced_bcast.hpp"
 #include "factor/step_records.hpp"
 #include "grid/block_cyclic.hpp"
 #include "grid/grid_opt.hpp"
@@ -45,6 +46,7 @@ struct Plan {
 /// never read or written).
 struct RankState {
   Coord3 me;
+  factor::LayerLines lines;  ///< this rank's process row and column
   std::vector<double> tiles;
   int ltr = 0, ltc = 0;
 };
@@ -207,9 +209,10 @@ PanelL10 solve_panel(const Plan& plan, RankState& st, int t, int l_star,
   return panel;
 }
 
-/// ---- Step 4: layer-sliced row multicast ----------------------------------
+/// ---- Step 4: layer-sliced row broadcast ----------------------------------
 /// Row leaders (px, py_c, l_star) -> every (px, *, l), sending each layer
-/// only its v/c k-slice of the solved panel rows (COnfLUX step 8).
+/// only its v/c k-slice of the solved panel rows (COnfLUX step 8), over the
+/// scatter-plus-tree route of factor/sliced_bcast.hpp.
 struct RowSlice {
   std::vector<int> tiles;  ///< my trailing row tiles
   Matrix values;           ///< (tiles * v) x slice
@@ -223,59 +226,55 @@ RowSlice multicast_rows(const Plan& plan, RankState& st, const Comm& comm,
   const int c = plan.g.layers();
   out.slice = chunk_range(v, c, st.me.l);
 
+  const Tag tag = make_tag(8, static_cast<std::uint32_t>(t), 0);
   if (panel.leader && !panel.tiles.empty()) {
-    // One packed slice per layer, multicast to the whole process row: the
-    // py_count recipients share a single immutable buffer.
+    // Scatter one packed slice per layer to the root of that layer's row
+    // tree: this leader's own process column on the layer.
     const std::size_t nrows = panel.tiles.size() * static_cast<std::size_t>(v);
-    std::vector<int> dsts(static_cast<std::size_t>(plan.g.py_extent()));
     for (int l = 0; l < c; ++l) {
       const auto slice = chunk_range(v, c, l);
       if (slice.size() == 0) continue;
-      for (int py = 0; py < plan.g.py_extent(); ++py)
-        dsts[static_cast<std::size_t>(py)] =
-            plan.g.rank_of({st.me.px, py, l});
-      const Tag tag = make_tag(8, static_cast<std::uint32_t>(t), 0);
+      simnet::SharedBuffer buf;
       if (plan.numeric) {
-        std::vector<double> buf;
-        buf.reserve(nrows * static_cast<std::size_t>(slice.size()));
+        std::vector<double> packed;
+        packed.reserve(nrows * static_cast<std::size_t>(slice.size()));
         for (std::size_t i = 0; i < nrows; ++i) {
           const double* base = panel.full.data() +
                                i * static_cast<std::size_t>(v) + slice.begin;
-          buf.insert(buf.end(), base, base + slice.size());
+          packed.insert(packed.end(), base, base + slice.size());
         }
-        comm.multicast(dsts, tag,
-                       simnet::make_shared_buffer(std::move(buf)));
-      } else {
-        comm.multicast_ghost(dsts, tag,
-                             nrows * static_cast<std::size_t>(slice.size()) *
-                                 sizeof(double));
+        buf = simnet::make_shared_buffer(std::move(packed));
       }
+      comm.send_shared(plan.g.rank_of({st.me.px, py_c, l}), tag,
+                       std::move(buf),
+                       nrows * static_cast<std::size_t>(slice.size()) *
+                           sizeof(double));
     }
   }
 
   const auto mine = owned_tiles(plan, t + 1, plan.g.px_extent(), st.me.px);
   if (!mine.empty() && out.slice.size() > 0) {
-    const int src = plan.g.rank_of({st.me.px, py_c, l_star});
-    const Tag tag = make_tag(8, static_cast<std::uint32_t>(t), 0);
     out.tiles = mine;
+    const simnet::BufferView buf = factor::bcast_slice(
+        comm, st.lines.row, py_c, plan.g.rank_of({st.me.px, py_c, l_star}),
+        tag);
     if (plan.numeric) {
-      const simnet::BufferView buf = comm.recv_view(src, tag);
       out.values = Matrix(static_cast<int>(mine.size()) * v,
                           out.slice.size());
       std::copy(buf.data(), buf.data() + buf.size(), out.values.data());
-    } else {
-      (void)comm.recv_ghost(src, tag);
     }
   }
   return out;
 }
 
-/// ---- Step 5: layer-sliced transposed multicast ---------------------------
+/// ---- Step 5: layer-sliced transposed broadcast ---------------------------
 /// The symmetric update needs L10^T where COnfLUX needs the separately
 /// reduced-and-solved A01 row panel. The row leaders already hold every L10
 /// row, so they also serve the column direction: the rows of tile It go,
 /// k-sliced per layer, to the ranks whose process column owns tile column
-/// It — i.e. leader (It % Px, py_c, l_star) -> every (*, It % Py, l).
+/// It — i.e. leader (It % Px, py_c, l_star) -> every (*, It % Py, l). Each
+/// process column thus carries px_count trees per step, one per leader;
+/// the tree tags fold in the root, so they never share a channel tag.
 struct ColSlice {
   std::vector<int> tiles;  ///< my trailing column tiles
   Matrix values;  ///< slice x (tiles * v): values(k, j) = L10(col_j, k)
@@ -291,6 +290,7 @@ ColSlice multicast_cols(const Plan& plan, RankState& st, const Comm& comm,
   const int py_count = plan.g.py_extent();
   out.slice = chunk_range(v, c, st.me.l);
 
+  const Tag tag = make_tag(10, static_cast<std::uint32_t>(t), 0);
   if (panel.leader && !panel.tiles.empty()) {
     for (int py_d = 0; py_d < py_count; ++py_d) {
       std::vector<int> group;  // positions of my tiles bound for column py_d
@@ -298,34 +298,30 @@ ColSlice multicast_cols(const Plan& plan, RankState& st, const Comm& comm,
         if (panel.tiles[i] % py_count == py_d)
           group.push_back(static_cast<int>(i));
       if (group.empty()) continue;
-      // One packed (py_d, layer) strip, multicast across the process row
-      // dimension: all px_count recipients share one immutable buffer.
-      std::vector<int> dsts(static_cast<std::size_t>(px_count));
+      // Scatter one packed (py_d, layer) strip to the root of that
+      // column's tree on the layer: the member in this leader's process
+      // row.
       for (int l = 0; l < c; ++l) {
         const auto slice = chunk_range(v, c, l);
         if (slice.size() == 0) continue;
-        for (int px2 = 0; px2 < px_count; ++px2)
-          dsts[static_cast<std::size_t>(px2)] =
-              plan.g.rank_of({px2, py_d, l});
-        const Tag tag = make_tag(10, static_cast<std::uint32_t>(t), 0);
+        simnet::SharedBuffer buf;
         if (plan.numeric) {
-          std::vector<double> buf;
-          buf.reserve(group.size() * static_cast<std::size_t>(v) *
-                      slice.size());
+          std::vector<double> packed;
+          packed.reserve(group.size() * static_cast<std::size_t>(v) *
+                         slice.size());
           for (int i : group)
             for (int q = 0; q < v; ++q) {
               const double* base =
                   panel.full.data() +
                   (static_cast<std::size_t>(i) * v + q) * v + slice.begin;
-              buf.insert(buf.end(), base, base + slice.size());
+              packed.insert(packed.end(), base, base + slice.size());
             }
-          comm.multicast(dsts, tag,
-                         simnet::make_shared_buffer(std::move(buf)));
-        } else {
-          comm.multicast_ghost(dsts, tag,
-                               group.size() * static_cast<std::size_t>(v) *
-                                   slice.size() * sizeof(double));
+          buf = simnet::make_shared_buffer(std::move(packed));
         }
+        comm.send_shared(plan.g.rank_of({st.me.px, py_d, l}), tag,
+                         std::move(buf),
+                         group.size() * static_cast<std::size_t>(v) *
+                             slice.size() * sizeof(double));
       }
     }
   }
@@ -341,17 +337,14 @@ ColSlice multicast_cols(const Plan& plan, RankState& st, const Comm& comm,
       for (std::size_t j = 0; j < mine.size(); ++j)
         if (mine[j] % px_count == px1) sub.push_back(static_cast<int>(j));
       if (sub.empty()) continue;
-      const int src = plan.g.rank_of({px1, py_c, l_star});
-      const Tag tag = make_tag(10, static_cast<std::uint32_t>(t), 0);
+      const simnet::BufferView buf = factor::bcast_slice(
+          comm, st.lines.col, px1, plan.g.rank_of({px1, py_c, l_star}), tag);
       if (plan.numeric) {
-        const simnet::BufferView buf = comm.recv_view(src, tag);
         const double* in = buf.data();
         for (int j : sub)
           for (int q = 0; q < v; ++q)
             for (int k = out.slice.begin; k < out.slice.end; ++k)
               out.values(k - out.slice.begin, j * v + q) = *in++;
-      } else {
-        (void)comm.recv_ghost(src, tag);
       }
     }
   }
@@ -452,6 +445,7 @@ CholResult Confchox25D::run(const linalg::Matrix* a, const CholConfig& cfg) {
   simnet::run_spmd(net, [&](Comm& comm) {
     RankState st;
     st.me = plan.g.coord_of(comm.rank());
+    st.lines = factor::layer_lines(plan.g, st.me);
 
     if (plan.numeric) {
       // Tile storage; layer 0 holds A, other layers hold zero partial sums.

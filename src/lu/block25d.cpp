@@ -7,6 +7,7 @@
 #include "grid/grid_opt.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/panel.hpp"
+#include "factor/sliced_bcast.hpp"
 #include "factor/step_records.hpp"
 #include "simnet/collectives.hpp"
 #include "simnet/spmd.hpp"
@@ -49,6 +50,7 @@ struct Plan {
 /// Per-rank mutable state.
 struct RankState {
   Coord3 me;
+  factor::LayerLines lines;  ///< this rank's process row and column
   // Tile storage (numeric only): tiles It % Px == me.px, Jt % Py == me.py,
   // packed [(It/Px) * ltc + (Jt/Py)] * v^2, row-major within a tile.
   std::vector<double> tiles;
@@ -585,9 +587,10 @@ A01Panel solve_a01_at_aggregators(const Plan& plan, RankState& st,
   return panel;
 }
 
-/// ---- Steps 8 / 10: layer-sliced panel multicast --------------------------
-/// A10: row leaders (px, py_c, l_star) -> every (px, *, *), sending each
-/// layer only its v/c k-slice. Returns my slice.
+/// ---- Steps 8 / 10: layer-sliced panel broadcast -------------------------
+/// A10: row leaders (px, py_c, l_star) -> every (px, *, l), each layer only
+/// its v/c k-slice, over the scatter-plus-tree route of
+/// factor/sliced_bcast.hpp. Returns my slice.
 struct A10Slice {
   std::vector<int> rows;  ///< global rows (this rank's tile rows in rem2)
   Matrix values;          ///< rows x slice_width
@@ -604,55 +607,49 @@ A10Slice multicast_a10(const Plan& plan, RankState& st, const Comm& comm,
   if (rem2.rows.empty()) return out;
 
   const auto& group_rows = rem2.by_px[static_cast<std::size_t>(st.me.px)];
+  const Tag tag = make_tag(8, static_cast<std::uint32_t>(sv.t), 0);
   if (panel.leader && !group_rows.empty()) {
-    // One packed slice per layer, multicast to the whole process row: the
-    // py_count recipients share a single immutable buffer.
-    std::vector<int> dsts(static_cast<std::size_t>(plan.g.py_extent()));
+    // Scatter one packed slice per layer to the root of that layer's row
+    // tree: this leader's own process column on the layer.
     for (int l = 0; l < c; ++l) {
       const auto slice = chunk_range(v, c, l);
       if (slice.size() == 0) continue;
-      for (int py = 0; py < plan.g.py_extent(); ++py)
-        dsts[static_cast<std::size_t>(py)] =
-            plan.g.rank_of({st.me.px, py, l});
-      const Tag tag = make_tag(8, static_cast<std::uint32_t>(sv.t), 0);
+      simnet::SharedBuffer buf;
       if (plan.numeric) {
-        std::vector<double> buf;
-        buf.reserve(group_rows.size() *
-                    static_cast<std::size_t>(slice.size()));
+        std::vector<double> packed;
+        packed.reserve(group_rows.size() *
+                       static_cast<std::size_t>(slice.size()));
         for (std::size_t i = 0; i < group_rows.size(); ++i) {
           const double* base = panel.full.data() +
                                i * static_cast<std::size_t>(v) + slice.begin;
-          buf.insert(buf.end(), base, base + slice.size());
+          packed.insert(packed.end(), base, base + slice.size());
         }
-        comm.multicast(dsts, tag,
-                       simnet::make_shared_buffer(std::move(buf)));
-      } else {
-        comm.multicast_ghost(
-            dsts, tag,
-            group_rows.size() * static_cast<std::size_t>(slice.size()) *
-                sizeof(double));
+        buf = simnet::make_shared_buffer(std::move(packed));
       }
+      comm.send_shared(plan.g.rank_of({st.me.px, sv.py_c, l}), tag,
+                       std::move(buf),
+                       group_rows.size() *
+                           static_cast<std::size_t>(slice.size()) *
+                           sizeof(double));
     }
   }
 
   if (!group_rows.empty() && out.slice.size() > 0) {
-    const int src = plan.g.rank_of({st.me.px, sv.py_c, sv.l_star});
-    const Tag tag = make_tag(8, static_cast<std::uint32_t>(sv.t), 0);
+    const simnet::BufferView buf = factor::bcast_slice(
+        comm, st.lines.row, sv.py_c,
+        plan.g.rank_of({st.me.px, sv.py_c, sv.l_star}), tag);
     if (plan.numeric) {
       out.rows = group_rows;
-      const simnet::BufferView buf = comm.recv_view(src, tag);
       out.values =
           Matrix(static_cast<int>(group_rows.size()), out.slice.size());
       std::copy(buf.data(), buf.data() + buf.size(), out.values.data());
-    } else {
-      (void)comm.recv_ghost(src, tag);
     }
   }
   return out;
 }
 
-/// A01: aggregators (px_c, py, l_star) -> every (*, py, *) with the l-th
-/// k-slice. Returns my slice.
+/// A01: aggregators (px_c, py, l_star) -> every (*, py, l) with the l-th
+/// k-slice, over the same route down the process column. Returns my slice.
 struct A01Slice {
   std::vector<int> cols;  ///< global columns (this rank's trailing columns)
   Matrix values;          ///< slice_height x cols
@@ -668,45 +665,40 @@ A01Slice multicast_a01(const Plan& plan, RankState& st, const Comm& comm,
   out.slice = chunk_range(v, c, st.me.l);
   if (plan.n - trail0 == 0) return out;
 
+  const Tag tag = make_tag(10, static_cast<std::uint32_t>(sv.t), 0);
   if (panel.aggregator && !panel.my_cols.empty()) {
-    // One packed slice per layer, multicast down the process column.
-    std::vector<int> dsts(static_cast<std::size_t>(plan.g.px_extent()));
+    // Scatter one packed slice per layer to the root of that layer's
+    // column tree: this aggregator's own process row on the layer.
     for (int l = 0; l < c; ++l) {
       const auto slice = chunk_range(v, c, l);
       if (slice.size() == 0) continue;
-      for (int px = 0; px < plan.g.px_extent(); ++px)
-        dsts[static_cast<std::size_t>(px)] =
-            plan.g.rank_of({px, st.me.py, l});
-      const Tag tag = make_tag(10, static_cast<std::uint32_t>(sv.t), 0);
+      simnet::SharedBuffer buf;
       if (plan.numeric) {
-        std::vector<double> buf;
-        buf.reserve(static_cast<std::size_t>(slice.size()) *
-                    panel.my_cols.size());
+        std::vector<double> packed;
+        packed.reserve(static_cast<std::size_t>(slice.size()) *
+                       panel.my_cols.size());
         for (int q = slice.begin; q < slice.end; ++q) {
           auto row = panel.agg.row(q);
-          buf.insert(buf.end(), row.begin(), row.end());
+          packed.insert(packed.end(), row.begin(), row.end());
         }
-        comm.multicast(dsts, tag,
-                       simnet::make_shared_buffer(std::move(buf)));
-      } else {
-        comm.multicast_ghost(dsts, tag,
-                             static_cast<std::size_t>(slice.size()) *
-                                 panel.my_cols.size() * sizeof(double));
+        buf = simnet::make_shared_buffer(std::move(packed));
       }
+      comm.send_shared(plan.g.rank_of({sv.px_c, st.me.py, l}), tag,
+                       std::move(buf),
+                       static_cast<std::size_t>(slice.size()) *
+                           panel.my_cols.size() * sizeof(double));
     }
   }
 
   if (!panel.my_cols.empty() && out.slice.size() > 0) {
-    const int src = plan.g.rank_of({sv.px_c, st.me.py, sv.l_star});
-    const Tag tag = make_tag(10, static_cast<std::uint32_t>(sv.t), 0);
+    const simnet::BufferView buf = factor::bcast_slice(
+        comm, st.lines.col, sv.px_c,
+        plan.g.rank_of({sv.px_c, st.me.py, sv.l_star}), tag);
     if (plan.numeric) {
       out.cols = panel.my_cols;
-      const simnet::BufferView buf = comm.recv_view(src, tag);
       out.values =
           Matrix(out.slice.size(), static_cast<int>(out.cols.size()));
       std::copy(buf.data(), buf.data() + buf.size(), out.values.data());
-    } else {
-      (void)comm.recv_ghost(src, tag);
     }
   }
   return out;
@@ -819,6 +811,7 @@ LuResult run_block25d(const linalg::Matrix* a, const LuConfig& cfg,
   simnet::run_spmd(net, [&](Comm& comm) {
     RankState st;
     st.me = plan.g.coord_of(comm.rank());
+    st.lines = factor::layer_lines(plan.g, st.me);
     st.pivoted.assign(static_cast<std::size_t>(plan.n), 0);
 
     if (plan.numeric) {

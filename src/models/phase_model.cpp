@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "grid/block_cyclic.hpp"
 #include "grid/grid_opt.hpp"
@@ -127,7 +128,7 @@ std::vector<PhaseVolume> predict_lu_phases(const std::string& algo, int n,
     // Step 3: pivots (v ints) + A00 (v^2 doubles) to every other rank.
     pivot += (active - 1) * (8.0 * v * v + 4.0 * v);
 
-    // Steps 8 + 10: layer-sliced A10/A01 multicasts; each side reaches
+    // Steps 8 + 10: layer-sliced A10/A01 broadcasts; each side reaches
     // px (resp. py) recipients per layer and skips the 1/c self-slice.
     schur += 8.0 * rem2 * v * (py - 1.0 / c);
     schur += 8.0 * rem2 * v * (px - 1.0 / c);
@@ -174,6 +175,33 @@ std::vector<PhaseTime> predict_lu_phase_times(const std::string& algo, int n,
     s += bytes * b;
     d = std::max(d, s + a);
   };
+  // Binomial-tree broadcast over `members` (group order) from the member
+  // at index `root`, in collectives.hpp's shape: vrank order, each member
+  // forwards to its children in increasing mask order once the payload
+  // has arrived.
+  std::vector<double> arrive;
+  const auto tree = [&](std::span<const int> members, int root,
+                        double bytes) {
+    const int m = static_cast<int>(members.size());
+    arrive.assign(members.size(), 0.0);
+    for (int vr = 0; vr < m; ++vr) {
+      double& ck = clk[static_cast<std::size_t>(
+          members[static_cast<std::size_t>((vr + root) % m)])];
+      if (vr > 0) ck = std::max(ck, arrive[static_cast<std::size_t>(vr)]);
+      int first_mask = 1;
+      while (first_mask <= vr) first_mask <<= 1;
+      for (int mask = first_mask; vr + mask < m; mask <<= 1) {
+        ck += bytes * b;
+        arrive[static_cast<std::size_t>(vr + mask)] = ck + a;
+      }
+    }
+  };
+  std::vector<int> world(static_cast<std::size_t>(nr));
+  for (int r = 0; r < nr; ++r) world[static_cast<std::size_t>(r)] = r;
+  std::vector<int> line(static_cast<std::size_t>(std::max(px, py)));
+  std::vector<int> slice_of(static_cast<std::size_t>(c));  // k-slice widths
+  for (int l = 0; l < c; ++l)
+    slice_of[static_cast<std::size_t>(l)] = grid::chunk_range(v, c, l).size();
   const auto frontier = [&] {
     return *std::max_element(clk.begin(), clk.end());
   };
@@ -278,29 +306,9 @@ std::vector<PhaseTime> predict_lu_phase_times(const std::string& algo, int n,
     }
     take(tournament);
 
-    // Step 3: one binomial-tree ghost broadcast of pivots + A00
-    // (collectives.hpp bcast shape: vrank order, children in increasing
-    // mask order, the payload forwarded hop-to-hop) from the tournament
-    // root over the whole active world.
-    {
-      const double bytes3 = 4.0 * v + 8.0 * v * v;
-      const int root = g.rank_of({0, py_c, l_star});
-      std::vector<double> arrive(static_cast<std::size_t>(nr), 0.0);
-      for (int vr = 0; vr < nr; ++vr) {
-        const int r = (vr + root) % nr;  // world group is iota(active)
-        if (vr > 0)
-          clk[static_cast<std::size_t>(r)] =
-              std::max(clk[static_cast<std::size_t>(r)],
-                       arrive[static_cast<std::size_t>(vr)]);
-        int first_mask = 1;
-        while (first_mask <= vr) first_mask <<= 1;
-        for (int mask = first_mask; vr + mask < nr; mask <<= 1) {
-          clk[static_cast<std::size_t>(r)] += bytes3 * b;
-          arrive[static_cast<std::size_t>(vr + mask)] =
-              clk[static_cast<std::size_t>(r)] + a;
-        }
-      }
-    }
+    // Step 3: one binomial-tree ghost broadcast of pivots + A00 from the
+    // tournament root over the whole active world.
+    tree(world, g.rank_of({0, py_c, l_star}), 4.0 * v + 8.0 * v * v);
     take(pivot);
 
     // Step 5: every rank ships its pivot-row partials (~v/px rows x its
@@ -318,31 +326,41 @@ std::vector<PhaseTime> predict_lu_phase_times(const std::string& algo, int n,
     }
     take(reduce);
 
-    // Steps 8 + 10: layer-sliced flat multicasts, serialized at the
-    // sender one recipient at a time in the engine's loop order (layers
-    // outer, destinations inner), self-slice free.
+    // Steps 8 + 10: layer-sliced broadcasts over the scatter-plus-tree
+    // route (factor/sliced_bcast.hpp). Each owner first sends every layer's
+    // slice to that layer's tree root, its own grid position on the layer
+    // (free on its home layer), then the per-layer trees run. Lines and
+    // layers are disjoint, so only the owner's order matters.
     if (rem2 > 0) {
       const double rows2 = rem2 / px;
       for (int x = 0; x < px; ++x) {
         const int leader = g.rank_of({x, py_c, l_star});
+        for (int l = 0; l < c; ++l)
+          if (slice_of[static_cast<std::size_t>(l)] > 0)
+            send(leader, g.rank_of({x, py_c, l}),
+                 8.0 * rows2 * slice_of[static_cast<std::size_t>(l)]);
         for (int l = 0; l < c; ++l) {
-          const grid::Range slice = grid::chunk_range(v, c, l);
-          if (slice.size() == 0) continue;
-          const double bytes8 = 8.0 * rows2 * slice.size();
+          if (slice_of[static_cast<std::size_t>(l)] == 0) continue;
           for (int y = 0; y < py; ++y)
-            send(leader, g.rank_of({x, y, l}), bytes8);
+            line[static_cast<std::size_t>(y)] = g.rank_of({x, y, l});
+          tree(std::span<const int>(line).first(static_cast<std::size_t>(py)),
+               py_c, 8.0 * rows2 * slice_of[static_cast<std::size_t>(l)]);
         }
       }
       for (int y = 0; y < py; ++y) {
         const int cols = tiles_of_py[static_cast<std::size_t>(y)] * v;
         if (cols == 0) continue;
         const int agg = g.rank_of({px_c, y, l_star});
+        for (int l = 0; l < c; ++l)
+          if (slice_of[static_cast<std::size_t>(l)] > 0)
+            send(agg, g.rank_of({px_c, y, l}),
+                 8.0 * slice_of[static_cast<std::size_t>(l)] * cols);
         for (int l = 0; l < c; ++l) {
-          const grid::Range slice = grid::chunk_range(v, c, l);
-          if (slice.size() == 0) continue;
-          const double bytes10 = 8.0 * slice.size() * cols;
+          if (slice_of[static_cast<std::size_t>(l)] == 0) continue;
           for (int x = 0; x < px; ++x)
-            send(agg, g.rank_of({x, y, l}), bytes10);
+            line[static_cast<std::size_t>(x)] = g.rank_of({x, y, l});
+          tree(std::span<const int>(line).first(static_cast<std::size_t>(px)),
+               px_c, 8.0 * slice_of[static_cast<std::size_t>(l)] * cols);
         }
       }
     }

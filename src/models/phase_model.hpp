@@ -11,7 +11,7 @@
 ///   panel_tournament  step 2 (butterfly or reduction-tree pivoting)
 ///   pivot_apply       step 3 (pivots + A00 broadcast to all ranks)
 ///   trsm              steps 4/7/9 — local compute, zero wire bytes
-///   schur_update      steps 8 + 10 (layer-sliced panel multicasts)
+///   schur_update      steps 8 + 10 (layer-sliced panel broadcasts)
 ///
 /// The only approximation is the per-owner row split (assumed even, which
 /// the hash-spread synthetic pivots guarantee to within one tile); every
@@ -50,13 +50,16 @@ struct PhaseTime {
 
 /// Per-phase times under the virtual-time fabric's LogGP charging rules:
 /// a send of k bytes costs the *sender* k*beta and lands alpha later;
-/// receives are free (clock = max); multicasts serialize at the sender,
-/// one injection per recipient; self-sends are free. Where
-/// predict_lu_phases replays the schedule's *size* arithmetic, this
-/// replays its *timing*: one clock per rank, advanced message-by-message
-/// in the engine's program order (panel reduction, tournament rounds, the
-/// binomial pivot broadcast, the lazy A01 reduction, the layer-sliced
-/// multicasts). The only approximation is the even pivot-row split, so
+/// receives are free (clock = max); a tree member forwards only after its
+/// own copy has arrived; self-sends are free. Where predict_lu_phases
+/// replays the schedule's *size* arithmetic, this replays its *timing*:
+/// one clock per rank, advanced message-by-message in the engine's program
+/// order (panel reduction, tournament rounds, the binomial pivot
+/// broadcast, the lazy A01 reduction, and the layer-sliced broadcasts of
+/// steps 8 + 10: each owner first sends every layer's slice to that
+/// layer's tree root, then the per-layer binomial trees run, as in
+/// factor/sliced_bcast.hpp). The only approximation is the even pivot-row
+/// split, so
 /// the prediction tracks a virtual-time dry run's measured makespan
 /// (FactorResult::predicted_seconds) to within a few percent — the tests
 /// hold it to 10%.

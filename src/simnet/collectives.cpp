@@ -26,7 +26,7 @@ namespace {
 }
 
 /// The binomial broadcast tree of one rank: its parent hop (if any) and its
-/// forwarding rounds, shared by the real / packed / ghost bcast variants.
+/// forwarding rounds.
 struct BcastPosition {
   int parent_vrank = -1;  ///< -1 at the root
   unsigned recv_round = 0;
@@ -48,18 +48,41 @@ struct BcastPosition {
   return pos;
 }
 
-/// Forward an immutable payload down this rank's branch of the binomial
-/// tree: one refcount bump per child, zero copies.
-void bcast_forward(const Comm& comm, const Group& group, int root_index,
-                   int v, const BcastPosition& pos, const SharedBuffer& buf,
-                   std::size_t logical_bytes, Tag tag, unsigned op) {
+/// Hop tag of a rooted broadcast tree. The root index is folded into the
+/// user tag, so trees with different roots over one group never put two
+/// messages with one tag on the same (src, dst) channel.
+[[nodiscard]] Tag tree_tag(Tag tag, int root_index, unsigned op,
+                           unsigned round) {
+  return sub_tag(tag + static_cast<Tag>(root_index), op, round);
+}
+
+/// The one binomial broadcast behind bcast_shared, bcast, bcast_ghost
+/// (sub-operation 0), bcast_ints (1) and allreduce_maxloc (5): every hop
+/// forwards the root's buffer by reference, zero copies. A null buffer
+/// travels as a ghost message (dry runs).
+BufferView bcast_tree(const Comm& comm, const Group& group, int root_index,
+                      SharedBuffer buf, std::size_t logical_bytes, Tag tag,
+                      unsigned op) {
   const int n = group.size();
+  const int me = group.index_of(comm.rank());
+  CONFLUX_EXPECTS(me >= 0 && root_index >= 0 && root_index < n);
+  const int v = vrank_of(me, root_index, n);
+  const BcastPosition pos = bcast_position(v);
+  if (v != 0) {
+    const BufferView view =
+        comm.recv_view(real_of(pos.parent_vrank, root_index, group),
+                       tree_tag(tag, root_index, op, pos.recv_round));
+    logical_bytes = view.logical_bytes();
+    buf = view.shared();
+  }
   unsigned round = pos.first_send_round;
   for (int mask = pos.first_mask; mask < n; mask <<= 1, ++round) {
     if (v < mask && v + mask < n)
       comm.send_shared(real_of(v + mask, root_index, group),
-                       sub_tag(tag, op, round), buf, logical_bytes);
+                       tree_tag(tag, root_index, op, round), buf,
+                       logical_bytes);
   }
+  return BufferView(std::move(buf), logical_bytes);
 }
 
 }  // namespace
@@ -98,75 +121,43 @@ int Group::index_of(int rank) const {
   return (it != sorted_.end() && it->first == rank) ? it->second : -1;
 }
 
+BufferView bcast_shared(const Comm& comm, const Group& group, int root_index,
+                        SharedBuffer buf, std::size_t logical_bytes, Tag tag) {
+  return bcast_tree(comm, group, root_index, std::move(buf), logical_bytes,
+                    tag, 0);
+}
+
 void bcast(const Comm& comm, const Group& group, int root_index,
            std::vector<double>& data, Tag tag) {
-  const int n = group.size();
-  const int me = group.index_of(comm.rank());
-  CONFLUX_EXPECTS(me >= 0 && root_index >= 0 && root_index < n);
-  const int v = vrank_of(me, root_index, n);
-  const BcastPosition pos = bcast_position(v);
-
+  if (group.size() == 1) return;
+  const bool root = group.index_of(comm.rank()) == root_index;
   SharedBuffer buf;
-  if (v == 0) {
-    if (n == 1) return;
-    buf = make_shared_buffer(std::span<const double>(data));
-  } else {
-    buf = comm.recv_view(real_of(pos.parent_vrank, root_index, group),
-                         sub_tag(tag, 0, pos.recv_round))
-              .shared();
-  }
-  bcast_forward(comm, group, root_index, v, pos, buf,
-                buf->size() * sizeof(double), tag, 0);
-  if (v != 0) data = BufferView(std::move(buf)).take();
+  if (root) buf = make_shared_buffer(std::span<const double>(data));
+  BufferView view = bcast_shared(comm, group, root_index, std::move(buf),
+                                 data.size() * sizeof(double), tag);
+  if (!root) data = std::move(view).take();
 }
 
 std::size_t bcast_ghost(const Comm& comm, const Group& group, int root_index,
                         std::size_t logical_bytes, Tag tag) {
-  const int n = group.size();
-  const int me = group.index_of(comm.rank());
-  CONFLUX_EXPECTS(me >= 0 && root_index >= 0 && root_index < n);
-  const int v = vrank_of(me, root_index, n);
-  const BcastPosition pos = bcast_position(v);
-
-  std::size_t count = logical_bytes;
-  if (v != 0)
-    count = comm.recv_ghost(real_of(pos.parent_vrank, root_index, group),
-                            sub_tag(tag, 0, pos.recv_round));
-  unsigned round = pos.first_send_round;
-  for (int mask = pos.first_mask; mask < n; mask <<= 1, ++round) {
-    if (v < mask && v + mask < n)
-      comm.send_ghost(real_of(v + mask, root_index, group),
-                      sub_tag(tag, 0, round), count);
-  }
-  return count;
+  // A null payload is a ghost message: the same tree and tags as
+  // bcast_shared, with only the byte count on the wire.
+  return bcast_tree(comm, group, root_index, nullptr, logical_bytes, tag, 0)
+      .logical_bytes();
 }
 
 void bcast_ints(const Comm& comm, const Group& group, int root_index,
                 std::vector<int>& data, Tag tag) {
-  const int n = group.size();
-  const int me = group.index_of(comm.rank());
-  CONFLUX_EXPECTS(me >= 0 && root_index >= 0 && root_index < n);
-  const int v = vrank_of(me, root_index, n);
-  const BcastPosition pos = bcast_position(v);
-
+  if (group.size() == 1) return;
   // One bit-packed buffer (exact 4 B/element accounting) travels the same
   // binomial tree as bcast, forwarded by reference hop-to-hop.
+  const bool root = group.index_of(comm.rank()) == root_index;
   SharedBuffer buf;
-  std::size_t logical_bytes = data.size() * sizeof(int);
-  if (v == 0) {
-    if (n == 1) return;
-    buf = make_shared_buffer(pack_ints(data));
-  } else {
-    const BufferView view =
-        comm.recv_view(real_of(pos.parent_vrank, root_index, group),
-                       sub_tag(tag, 1, pos.recv_round));
-    logical_bytes = view.logical_bytes();
-    buf = view.shared();
-  }
-  bcast_forward(comm, group, root_index, v, pos, buf, logical_bytes, tag, 1);
-  if (v != 0)
-    data = unpack_ints(BufferView(std::move(buf)),
-                       logical_bytes / sizeof(int));
+  if (root) buf = make_shared_buffer(pack_ints(data));
+  const BufferView view =
+      bcast_tree(comm, group, root_index, std::move(buf),
+                 data.size() * sizeof(int), tag, 1);
+  if (!root) data = unpack_ints(view, view.logical_bytes() / sizeof(int));
 }
 
 void reduce_sum(const Comm& comm, const Group& group, int root_index,
@@ -254,18 +245,11 @@ MaxLoc allreduce_maxloc(const Comm& comm, const Group& group, MaxLoc mine,
     }
   }
   // Broadcast the winner down the same tree, zero-copy.
-  const BcastPosition pos = bcast_position(me);
-  SharedBuffer buf;
-  if (me == 0) {
-    if (n == 1) return mine;
-    buf = encode(mine);
-  } else {
-    buf = comm.recv_view(group.at(pos.parent_vrank),
-                         sub_tag(tag, 5, pos.recv_round))
-              .shared();
-  }
-  bcast_forward(comm, group, 0, me, pos, buf, kPairBytes, tag, 5);
-  return {(*buf)[0], static_cast<int>((*buf)[1])};
+  if (n == 1) return mine;
+  const BufferView won = bcast_tree(comm, group, 0, me == 0 ? encode(mine)
+                                                            : nullptr,
+                                    kPairBytes, tag, 5);
+  return {won[0], static_cast<int>(won[1])};
 }
 
 std::vector<std::vector<double>> gather(const Comm& comm, const Group& group,

@@ -7,7 +7,10 @@
 ///
 /// Every rank in the group must call the collective with the same tag.
 /// Internal rounds derive sub-tags, so a user tag must not be reused for a
-/// different concurrent operation within the same group.
+/// different concurrent operation within the same group. Broadcast trees
+/// derive their hop tags from `tag + root_index`: trees with different roots
+/// over one group may share a user tag, but two same-kind broadcasts whose
+/// user tags differ by less than the group size may alias.
 #pragma once
 
 #include <initializer_list>
@@ -51,13 +54,23 @@ class Group {
   std::vector<std::pair<int, int>> sorted_;  ///< (rank, index), by rank
 };
 
-/// Binomial-tree broadcast of `data` from the group member at `root_index`.
-/// Non-root buffers are overwritten.
+/// Zero-copy binomial-tree broadcast of one immutable payload from the group
+/// member at `root_index`. `buf` and `logical_bytes` (its wire size) are
+/// read on the root only; every hop forwards the root's buffer by
+/// reference. Returns the payload's view on every member: all of them alias
+/// the root's storage.
+[[nodiscard]] BufferView bcast_shared(const Comm& comm, const Group& group,
+                                      int root_index, SharedBuffer buf,
+                                      std::size_t logical_bytes, Tag tag);
+
+/// Binomial-tree broadcast of `data` from the group member at `root_index`
+/// (bcast_shared of a copy of the root's buffer). Non-root buffers are
+/// overwritten.
 void bcast(const Comm& comm, const Group& group, int root_index,
            std::vector<double>& data, Tag tag);
 
-/// Ghost broadcast: only a logical byte count (known at the root) travels.
-/// Returns the byte count on every rank.
+/// Ghost broadcast: only a logical byte count (known at the root) travels,
+/// over bcast_shared's tree and tags. Returns the byte count on every rank.
 std::size_t bcast_ghost(const Comm& comm, const Group& group, int root_index,
                         std::size_t logical_bytes, Tag tag);
 

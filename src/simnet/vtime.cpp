@@ -484,7 +484,10 @@ void VtRuntime::run(const std::function<void(int)>& job, int workers) {
 
   // Multiplex the fibers over the shared thread pool. parallel_for from
   // inside a fiber (the numeric kernels use it) runs inline by the pool's
-  // re-entrancy rule, so the workers never deadlock on themselves.
+  // re-entrancy rule, so the workers never deadlock on themselves. The
+  // submitting thread runs chunk 0 without being a pool worker; the
+  // WorkerScope extends the rule to it, or a fiber resumed there would
+  // queue chunks behind workers that never return and wait forever.
   support::ThreadPool& pool = support::global_pool();
   const int base =
       workers > 0 ? workers : std::min(pool.size(), nranks_);
@@ -493,7 +496,10 @@ void VtRuntime::run(const std::function<void(int)>& job, int workers) {
   if (w == 1 || pool.size() == 1) {
     worker_loop();
   } else {
-    support::parallel_for(0, w, [&](int) { worker_loop(); });
+    pool.parallel_for(0, w, [&](int) {
+      const support::ThreadPool::WorkerScope scope(pool);
+      worker_loop();
+    });
   }
 
   im.job = nullptr;

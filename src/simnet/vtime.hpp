@@ -3,7 +3,9 @@
 /// scheduler that multiplexes thousands of cooperative rank contexts
 /// (ucontext fibers with small mmap'd stacks) onto the shared thread pool,
 /// and a LogGP-style latency/bandwidth clock that advances a per-rank
-/// virtual clock on every send, receive and (optionally) charged flop.
+/// virtual clock on every send and receive. A compute (gamma) term exists
+/// in the clock, but no engine charges flops to it yet, so predicted
+/// makespans are communication-only.
 ///
 /// Why it exists: the persistent rank team runs one OS thread per simulated
 /// rank, which caps usable P at roughly the host's core count. The paper's
@@ -25,7 +27,8 @@
 ///   send  k bytes:  sender clock += k * beta (injection serialization);
 ///                   arrival = sender clock + alpha
 ///   recv:           receiver clock = max(receiver clock, arrival)
-///   flops f:        clock += f * gamma (engines charge their local compute)
+///   flops f:        clock += f * gamma (Comm::charge_flops; no engine
+///                   calls it yet, and every machine preset leaves gamma 0)
 ///   self-sends are free, matching the StatsBoard accounting exemption.
 #pragma once
 

@@ -44,6 +44,13 @@ ThreadPool::~ThreadPool() {
 
 bool ThreadPool::on_worker_thread() const { return g_current_pool == this; }
 
+ThreadPool::WorkerScope::WorkerScope(const ThreadPool& pool)
+    : saved_(g_current_pool) {
+  g_current_pool = &pool;
+}
+
+ThreadPool::WorkerScope::~WorkerScope() { g_current_pool = saved_; }
+
 void ThreadPool::worker_loop() {
   g_current_pool = this;
   for (;;) {

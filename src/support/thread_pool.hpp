@@ -45,6 +45,21 @@ class ThreadPool {
   /// True when the calling thread is one of this pool's workers.
   [[nodiscard]] bool on_worker_thread() const;
 
+  /// Counts the calling thread as one of this pool's workers while the
+  /// scope lives, so parallel_for from it runs inline. For a submitting
+  /// thread that runs a loop side by side with busy workers (it must not
+  /// queue chunks that no free worker will ever take).
+  class WorkerScope {
+   public:
+    explicit WorkerScope(const ThreadPool& pool);
+    ~WorkerScope();
+    WorkerScope(const WorkerScope&) = delete;
+    WorkerScope& operator=(const WorkerScope&) = delete;
+
+   private:
+    const ThreadPool* saved_;
+  };
+
  private:
   void worker_loop();
 

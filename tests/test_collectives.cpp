@@ -1,11 +1,15 @@
 // Tests for the group collectives: correctness over rank-count sweeps,
-// exact byte accounting of the tree shapes, ghost/real volume equivalence.
+// exact byte accounting of the tree shapes, ghost/real volume equivalence,
+// zero-copy aliasing and root-distinct tags of the shared-payload tree.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "simnet/collectives.hpp"
 #include "simnet/spmd.hpp"
+#include "simnet/trace.hpp"
+#include "verify/comm_graph.hpp"
+#include "verify/passes.hpp"
 
 namespace conflux::simnet {
 namespace {
@@ -193,6 +197,38 @@ TEST_P(CollectiveP, BcastIntsVolumeIsExactly4BytesPerElement) {
             ghost.stats().total().messages_sent);
 }
 
+TEST_P(CollectiveP, BcastSharedAliasesTheRootBufferAtTreeVolume) {
+  const int p = GetParam();
+  constexpr std::size_t k = 37;  // doubles
+  for (int root = 0; root < std::min(p, 3); ++root) {
+    Network net(p);
+    SharedBuffer original;  // kept alive so no copy can reuse its address
+    std::vector<const double*> seen(static_cast<std::size_t>(p), nullptr);
+    run_spmd(net, [&](Comm& comm) {
+      const Group g = Group::iota(p);
+      SharedBuffer buf;
+      if (comm.rank() == root) {
+        buf = make_shared_buffer(std::vector<double>(k, 2.5));
+        original = buf;
+      }
+      const BufferView view = bcast_shared(comm, g, root, std::move(buf),
+                                           k * sizeof(double), make_tag(4, 0));
+      ASSERT_EQ(view.size(), k);
+      EXPECT_EQ(view.logical_bytes(), k * sizeof(double));
+      EXPECT_EQ(view[k - 1], 2.5);
+      seen[static_cast<std::size_t>(comm.rank())] = view.data();
+    });
+    // Every member reads the root's storage: zero copies anywhere.
+    for (int r = 0; r < p; ++r)
+      EXPECT_EQ(seen[static_cast<std::size_t>(r)], original->data())
+          << "rank " << r << " root " << root;
+    EXPECT_EQ(net.stats().total().messages_sent,
+              static_cast<std::uint64_t>(p - 1));
+    EXPECT_EQ(net.stats().total().bytes_sent,
+              static_cast<std::uint64_t>(p - 1) * k * sizeof(double));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(RankCounts, CollectiveP,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 8, 13, 16, 17));
 
@@ -222,6 +258,36 @@ TEST(Group, RootedBcastFromNonZeroRoot) {
     bcast(comm, g, 3, data, make_tag(9, 0));
     EXPECT_EQ(data.at(0), 9.0);
   });
+}
+
+TEST(Group, BackToBackTreesWithDifferentRootsShareOneTag) {
+  // Over 4 members, the trees rooted at index 0 and at index 3 both send
+  // member 0 -> member 2 in their second round, and nothing orders the
+  // first tree's receive before the second tree's send. The hop tags must
+  // still differ, or CommCheck's tag pass reports an order-dependent match.
+  simnet::TraceRecorder rec;
+  Network net(7);
+  net.set_trace(&rec);
+  const Group g{{1, 3, 5, 6}};
+  run_spmd(net, [&](Comm& comm) {
+    if (g.index_of(comm.rank()) < 0) return;
+    for (const int root : {0, 3}) {
+      SharedBuffer buf;
+      if (comm.rank() == g.at(root))
+        buf = make_shared_buffer(std::vector<double>{double(root), 1.0});
+      const BufferView view =
+          bcast_shared(comm, g, root, std::move(buf), 16, make_tag(6, 2));
+      ASSERT_EQ(view.size(), 2u);
+      EXPECT_EQ(view[0], double(root));
+    }
+  });
+  const verify::CommGraph graph = verify::CommGraph::build(rec);
+  for (const auto& diags :
+       {verify::check_matching(graph), verify::check_deadlock(graph),
+        verify::check_tags(graph)})
+    for (const verify::Diagnostic& d : diags)
+      ADD_FAILURE() << verify::to_string(d);
+  EXPECT_EQ(net.stats().total().messages_sent, 6u);
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // Communication-volume properties: the dry-run == numeric invariant that
 // licenses the figure-scale dry runs, the paper's volume ordering at scale,
-// the model-vs-measured agreement, and the §7.3 ablation claims.
+// the model-vs-measured agreement, the §7.3 ablation claims, and the
+// pinned traffic of the 2.5D engines' layer-sliced panel broadcasts.
 #include <gtest/gtest.h>
 
+#include "cholesky/cholesky_common.hpp"
 #include "linalg/generate.hpp"
 #include "lu/lu_common.hpp"
 #include "models/cost_model.hpp"
@@ -224,6 +226,57 @@ TEST(WeakScaling, TwoPointFiveDStaysFlat) {
   // 2D grows by ~ (64/8)^(1/6) * (volume mix) — noticeably more than 2.5D.
   EXPECT_GT(libsci_large / libsci_small, conflux_large / conflux_small);
 }
+
+/// One pinned dry run: total bytes and messages of a 2.5D engine on a
+/// fixed grid, recorded when steps 8/10 (COnfCHOX: 4/5) were still flat
+/// fan-outs from the panel owner. The scatter-plus-tree route changes who
+/// sends each slice, never how many messages or bytes travel.
+struct PinnedRun {
+  const char* algo;
+  int n, p, layers;  ///< layers 0 = grid optimizer (auto)
+  std::uint64_t bytes, messages;
+};
+
+class PinnedVolume : public ::testing::TestWithParam<PinnedRun> {};
+
+TEST_P(PinnedVolume, BroadcastRouteKeepsTotalTraffic) {
+  const PinnedRun pin = GetParam();
+  factor::FactorResult run;
+  if (std::string(pin.algo) == "COnfCHOX") {
+    cholesky::CholConfig cfg;
+    cfg.n = pin.n;
+    cfg.p = pin.p;
+    cfg.mode = Mode::DryRun;
+    cfg.force_layers = pin.layers;
+    cfg.grid_optimization = pin.layers == 0;
+    run = cholesky::make_cholesky_algorithm(pin.algo)->run(nullptr, cfg);
+  } else {
+    LuConfig cfg;
+    cfg.n = pin.n;
+    cfg.p = pin.p;
+    cfg.mode = Mode::DryRun;
+    cfg.force_layers = pin.layers;
+    cfg.grid_optimization = pin.layers == 0;
+    run = make_algorithm(pin.algo)->run(nullptr, cfg);
+  }
+  EXPECT_EQ(run.total.bytes_sent, pin.bytes) << pin.algo << " " << run.grid;
+  EXPECT_EQ(run.total.messages_sent, pin.messages)
+      << pin.algo << " " << run.grid;
+}
+
+// Grids: [2 x 2 x 2], then [3 x 3 x 2] and [3 x 5 x 2] (c > 1, lines that
+// are not powers of two).
+INSTANTIATE_TEST_SUITE_P(
+    ThreeGrids, PinnedVolume,
+    ::testing::Values(PinnedRun{"COnfLUX", 128, 8, 0, 479608, 208},
+                      PinnedRun{"CALU", 128, 8, 0, 463432, 200},
+                      PinnedRun{"COnfCHOX", 128, 8, 0, 376832, 156},
+                      PinnedRun{"COnfLUX", 192, 18, 2, 1562040, 741},
+                      PinnedRun{"CALU", 192, 18, 2, 1536688, 729},
+                      PinnedRun{"COnfCHOX", 192, 18, 2, 1302528, 558},
+                      PinnedRun{"COnfLUX", 240, 30, 2, 3118168, 1503},
+                      PinnedRun{"CALU", 240, 30, 2, 3086104, 1488},
+                      PinnedRun{"COnfCHOX", 240, 30, 2, 2734080, 1443}));
 
 }  // namespace
 }  // namespace conflux::lu

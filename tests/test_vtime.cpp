@@ -1,18 +1,23 @@
 // The virtual-time execution mode: cooperative-fiber scheduling at rank
 // counts far beyond the host's cores, LogGP clock semantics, bit-identical
 // determinism across repeated runs and worker counts, CommVolume parity
-// with the threaded rank team, the make_tag wide-layout regression, and
-// shared-channel-slot stress at P = 256.
+// with the threaded rank team, the make_tag wide-layout regression,
+// shared-channel-slot stress at P = 256, and a numeric engine run on fibers
+// over the shared thread pool.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <cstring>
+#include <iostream>
 #include <vector>
 
+#include "linalg/generate.hpp"
+#include "lu/lu_common.hpp"
 #include "simnet/collectives.hpp"
 #include "simnet/spmd.hpp"
 #include "simnet/vtime.hpp"
 #include "support/telemetry.hpp"
+#include "support/thread_pool.hpp"
 
 namespace conflux::simnet {
 namespace {
@@ -380,6 +385,28 @@ TEST(VirtualTime, TelemetrySpansCarryVirtualTimestamps) {
   ASSERT_EQ(waits.size(), 1u);
   EXPECT_EQ(waits[0].begin_ns, 0u);
   EXPECT_EQ(waits[0].ns, expect_ns);
+}
+
+// --- numeric engines on fibers (regression) --------------------------------
+
+TEST(VirtualTime, NumericConfluxRunsOnTheDefaultPool) {
+  // The numeric kernels call parallel_for from inside rank fibers. With more
+  // than one pool worker, a fiber resumed on the thread that submitted the
+  // worker loops (not itself a pool worker) used to queue chunks that no
+  // busy worker would ever take, and the run hung. The suite's CTest
+  // TIMEOUT turns a return of that hang into a failure. A one-thread pool
+  // (CONFLUX_THREADS=1) runs everything inline and cannot hang here.
+  std::cout << "pool size " << support::global_pool().size() << "\n";
+  const linalg::Matrix a =
+      linalg::generate(256, linalg::MatrixKind::Uniform, 61);
+  lu::LuConfig cfg;
+  cfg.n = 256;
+  cfg.p = 4;
+  cfg.mode = factor::Mode::Numeric;
+  cfg.fabric = virtual_fabric();
+  const lu::LuResult res = lu::make_algorithm("COnfLUX")->run(&a, cfg);
+  EXPECT_GT(res.predicted_seconds, 0.0);
+  EXPECT_LT(res.residual, 1e-11) << res.grid;
 }
 
 }  // namespace
