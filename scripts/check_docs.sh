@@ -7,16 +7,19 @@
 #  2. Every intra-repo Markdown link resolves to an existing file.
 #     External links (http/https/mailto) and pure #anchors are ignored;
 #     `path#anchor` links are checked for the path part only.
-#  3. No stale CLI flags: every `--flag` a Markdown line mentions alongside
-#     one of the repo's binaries (commcheck, confscope, bench_*) must appear
-#     literally in that binary's source, so docs cannot outlive a renamed or
-#     removed option.
+#  3. No stale CLI flags: every `--flag` a Markdown line mentions after one
+#     of the repo's binaries (commcheck, confscope, bench_*) must appear
+#     literally in the source of the nearest such binary before it on the
+#     line, so docs cannot outlive a renamed or removed option. A ctest or
+#     cmake in between takes the flags that follow it (they are not ours).
 #  4. No malformed Doxygen member markers: a bare `/<` (a typo for the
 #     `///<` trailing-comment marker) renders as literal noise in the docs
 #     and silently drops the comment from the generated output.
 #  5. No stale CTest labels: every `ctest ... -L <label>` (or -LE) a
-#     Markdown file mentions must be a label CMakeLists.txt actually
-#     assigns, so docs cannot advertise a renamed or removed test wall.
+#     Markdown file shows as code (a fenced block or a backtick span) must
+#     be a label CMakeLists.txt actually assigns, so docs cannot advertise a
+#     renamed or removed test wall. Prose that merely says "ctest" is not
+#     an invocation.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 fail=0
@@ -58,26 +61,29 @@ flag_source_for() {
 
 while IFS= read -r md; do
   while IFS= read -r line; do
-    for bin in $(grep -oE '\b(commcheck|confscope|bench_[a-z0-9_]+)\b' <<<"$line" |
-                 sort -u); do
+    # Walk the line's binary names and flags in order; each flag belongs to
+    # the nearest binary before it.
+    bin=""
+    for tok in $(grep -oE '\b(commcheck|confscope|bench_[a-z0-9_]+|ctest|cmake)\b|--[a-z][a-z0-9_-]*' <<<"$line"); do
+      case "$tok" in
+        --benchmark_*) continue ;;  # google-benchmark built-ins
+        --*) ;;
+        *) bin="$tok"; continue ;;
+      esac
+      [ -n "$bin" ] || continue
       src=$(flag_source_for "$bin")
-      [ -f "$src" ] || continue  # binary gated off (e.g. bench_kernels): skip
-      for flag in $(grep -oE '\-\-[a-z][a-z0-9_-]*' <<<"$line" | sort -u); do
-        case "$flag" in
-          --benchmark_*) continue ;;  # google-benchmark built-ins
-        esac
-        if ! grep -qF -- "$flag" "$src"; then
-          echo "error: $md mentions flag '$flag' of $bin, not found in $src" >&2
-          fail=1
-        fi
-      done
+      [ -n "$src" ] && [ -f "$src" ] || continue  # ctest/cmake, or gated off
+      if ! grep -qF -- "$tok" "$src"; then
+        echo "error: $md mentions flag '$tok' of $bin, not found in $src" >&2
+        fail=1
+      fi
     done
   done < <(grep -E '\b(commcheck|confscope|bench_[a-z0-9_]+)\b.*--[a-z]' "$md" || true)
 done < <(find . -mindepth 1 \( -name build -o -name '.*' \) -prune -o \
          -name '*.md' ! -name CHANGES.md -print | sort)
 # CHANGES.md is exempt: its entries are one-line-per-PR history blobs that
-# routinely name several binaries and another tool's flags in one line,
-# which the per-line attribution above cannot parse.
+# name flags as they stood when each PR landed, and history is not rewritten
+# when a later PR renames one.
 
 # --- 4: malformed Doxygen trailing-comment markers ---------------------------
 # Strip every well-formed `///<` occurrence, then flag any surviving `/<`:
@@ -94,6 +100,21 @@ done < <(find src tests bench tools examples \
          \( -name '*.hpp' -o -name '*.cpp' \) -print | sort)
 
 # --- 5: stale CTest label references -----------------------------------------
+# The code text of a Markdown file: fenced blocks whole, and the contents of
+# backtick spans elsewhere.
+code_text() {
+  awk '
+    /^[[:space:]]*```/ { fence = !fence; next }
+    fence { print; next }
+    {
+      line = $0
+      while (match(line, /`[^`]+`/)) {
+        print substr(line, RSTART + 1, RLENGTH - 2)
+        line = substr(line, RSTART + RLENGTH)
+      }
+    }' "$1"
+}
+
 # Labels CMakeLists.txt assigns, via `LABELS <name>` in set_tests_properties.
 known_labels=$(grep -oE 'LABELS [a-z]+' CMakeLists.txt | awk '{print $2}' | sort -u)
 while IFS= read -r md; do
@@ -102,7 +123,7 @@ while IFS= read -r md; do
       echo "error: $md mentions ctest label '$label', not assigned in CMakeLists.txt" >&2
       fail=1
     fi
-  done < <(grep -oE 'ctest[^`)]* -LE? [a-z]+' "$md" |
+  done < <(code_text "$md" | grep -oE 'ctest[^)]* -LE? [a-z]+' |
            grep -oE '\-LE? [a-z]+$' | awk '{print $2}' | sort -u)
 done < <(find . -name build -prune -o -name '*.md' -print | sort)
 

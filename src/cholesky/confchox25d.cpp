@@ -2,15 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 
-#include "factor/sliced_bcast.hpp"
+#include "factor/engine25d.hpp"
 #include "factor/step_records.hpp"
-#include "grid/block_cyclic.hpp"
-#include "grid/grid_opt.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/potrf.hpp"
-#include "simnet/collectives.hpp"
 #include "simnet/spmd.hpp"
 #include "support/telemetry.hpp"
 #include "support/timer.hpp"
@@ -19,56 +15,18 @@ namespace conflux::cholesky {
 
 namespace {
 
+using factor::Plan25D;
+using factor::Rank25D;
 using factor::StepRecord;
 using grid::chunk_range;
-using grid::Coord3;
-using grid::Grid3D;
 using linalg::Matrix;
 using simnet::Comm;
 using simnet::make_tag;
 using simnet::Tag;
 
-/// Resolved run parameters shared by every rank.
-struct Plan {
-  int n = 0;
-  int v = 0;
-  int steps = 0;
-  Grid3D g{1, 1, 1};
-  int active = 0;
-  bool numeric = true;
-  telemetry::TelemetryBoard* tel = nullptr;  ///< ConfScope spans (optional)
-};
-
-/// Per-rank mutable state. Tile storage mirrors COnfLUX: tiles
-/// It % Px == me.px, Jt % Py == me.py, packed [(It/Px) * ltc + (Jt/Py)]
-/// * v^2, row-major within a tile. Only tiles It >= Jt carry meaningful
-/// data (the trailing matrix is symmetric; the strict upper tiles are
-/// never read or written).
-struct RankState {
-  Coord3 me;
-  factor::LayerLines lines;  ///< this rank's process row and column
-  std::vector<double> tiles;
-  int ltr = 0, ltc = 0;
-};
-
-/// Pointer to the (It, Jt) tile owned by this rank.
-double* tile_at(const Plan& plan, RankState& st, int tile_row, int tile_col) {
-  const int lr = tile_row / plan.g.px_extent();
-  const int lc = tile_col / plan.g.py_extent();
-  return st.tiles.data() +
-         (static_cast<std::size_t>(lr) * st.ltc + lc) *
-             (static_cast<std::size_t>(plan.v) * plan.v);
-}
-
-/// Element reference inside the owned tile covering (row, col).
-double& elem_at(const Plan& plan, RankState& st, int row, int col) {
-  double* t = tile_at(plan, st, row / plan.v, col / plan.v);
-  return t[static_cast<std::size_t>(row % plan.v) * plan.v + col % plan.v];
-}
-
 /// Tiles It in [first, n/v) owned along one grid dimension (extent, pos),
 /// ascending.
-std::vector<int> owned_tiles(const Plan& plan, int first, int extent,
+std::vector<int> owned_tiles(const Plan25D& plan, int first, int extent,
                              int pos) {
   std::vector<int> out;
   const int tiles_total = plan.n / plan.v;
@@ -77,66 +35,22 @@ std::vector<int> owned_tiles(const Plan& plan, int first, int extent,
   return out;
 }
 
-/// ---- Step 1: reduce panel column t across layers onto l_star -------------
-/// The next panel's column strip (rows >= t*v, the v columns of tile column
-/// t) is the only data whose per-layer partial sums must be combined:
-/// Cholesky's row panel is the transposed column panel, so COnfLUX's second
-/// reduce (its step 5) has no counterpart here.
-void reduce_panel_column(const Plan& plan, RankState& st, const Comm& comm,
-                         int t, int l_star, int py_c) {
-  if (plan.g.layers() == 1) return;
-  if (st.me.py != py_c) return;
-  const auto mine = owned_tiles(plan, t, plan.g.px_extent(), st.me.px);
-  if (mine.empty()) return;
-  const int v = plan.v;
-  const int col0 = t * v;
-  const std::size_t doubles =
-      mine.size() * static_cast<std::size_t>(v) * v;
-
-  if (st.me.l != l_star) {
-    const Tag tag = make_tag(1, static_cast<std::uint32_t>(t),
-                             static_cast<std::uint32_t>(st.me.l));
-    const int dst = plan.g.rank_of({st.me.px, py_c, l_star});
-    if (plan.numeric) {
-      std::vector<double> buf;
-      buf.reserve(doubles);
-      for (int it : mine)
-        for (int r = it * v; r < (it + 1) * v; ++r) {
-          double* base = &elem_at(plan, st, r, col0);
-          buf.insert(buf.end(), base, base + v);
-          std::fill(base, base + v, 0.0);
-        }
-      comm.send(dst, tag, std::move(buf));
-    } else {
-      comm.send_ghost_doubles(dst, tag, doubles);
-    }
-  } else {
-    for (int l = 0; l < plan.g.layers(); ++l) {
-      if (l == l_star) continue;
-      const Tag tag = make_tag(1, static_cast<std::uint32_t>(t),
-                               static_cast<std::uint32_t>(l));
-      const int src = plan.g.rank_of({st.me.px, py_c, l});
-      if (plan.numeric) {
-        // Accumulate straight out of the shared payload; no copy-out.
-        const simnet::BufferView buf = comm.recv_view(src, tag);
-        const double* in = buf.data();
-        for (int it : mine)
-          for (int r = it * v; r < (it + 1) * v; ++r) {
-            double* base = &elem_at(plan, st, r, col0);
-            for (int k = 0; k < v; ++k) base[k] += *in++;
-          }
-      } else {
-        (void)comm.recv_ghost(src, tag);
-      }
-    }
-  }
+/// Rows of the owned tiles It in [first, n/v) of process row `px`,
+/// ascending. Step 1 reduces the strip of rows >= t*v: Cholesky's row
+/// panel is the transposed column panel, so COnfLUX's second reduce (its
+/// step 5) has no counterpart here.
+std::vector<int> owned_rows(const Plan25D& plan, int first, int px) {
+  std::vector<int> rows;
+  for (int it : owned_tiles(plan, first, plan.g.px_extent(), px))
+    for (int r = it * plan.v; r < (it + 1) * plan.v; ++r) rows.push_back(r);
+  return rows;
 }
 
 /// ---- Step 2: factor the diagonal block, broadcast L00 --------------------
 /// The owner of tile (t, t) on the reducing layer runs the sequential
 /// potrf; L00 then travels to every active rank (v^2 per step — the same
 /// lower-order term as COnfLUX's A00 broadcast, minus the pivot indices).
-Matrix factor_and_bcast_a00(const Plan& plan, RankState& st, const Comm& comm,
+Matrix factor_and_bcast_a00(const Plan25D& plan, Rank25D& st, const Comm& comm,
                             int t, int l_star, int py_c,
                             const simnet::Group& world,
                             std::atomic<bool>* not_spd) {
@@ -146,7 +60,7 @@ Matrix factor_and_bcast_a00(const Plan& plan, RankState& st, const Comm& comm,
   if (plan.numeric) {
     std::vector<double> flat(static_cast<std::size_t>(v) * v, 0.0);
     if (comm.rank() == root) {
-      linalg::MatrixView tile(tile_at(plan, st, t, t), v, v, v);
+      linalg::MatrixView tile(st.tiles.tile_at(t, t), v, v, v);
       if (linalg::potrf_unblocked(tile) != linalg::FactorStatus::Ok)
         not_spd->store(true, std::memory_order_relaxed);
       for (int i = 0; i < v; ++i)
@@ -175,7 +89,7 @@ struct PanelL10 {
   bool leader = false;
 };
 
-PanelL10 solve_panel(const Plan& plan, RankState& st, int t, int l_star,
+PanelL10 solve_panel(const Plan25D& plan, Rank25D& st, int t, int l_star,
                      int py_c, const Matrix& a00,
                      std::vector<StepRecord>* records) {
   PanelL10 panel;
@@ -190,7 +104,7 @@ PanelL10 solve_panel(const Plan& plan, RankState& st, int t, int l_star,
   int i = 0;
   for (int it : panel.tiles)
     for (int r = it * v; r < (it + 1) * v; ++r, ++i) {
-      const double* base = &elem_at(plan, st, r, col0);
+      const double* base = &st.tiles.elem_at(r, col0);
       auto dst = panel.full.row(i);
       std::copy(base, base + v, dst.begin());
     }
@@ -212,14 +126,14 @@ PanelL10 solve_panel(const Plan& plan, RankState& st, int t, int l_star,
 /// ---- Step 4: layer-sliced row broadcast ----------------------------------
 /// Row leaders (px, py_c, l_star) -> every (px, *, l), sending each layer
 /// only its v/c k-slice of the solved panel rows (COnfLUX step 8), over the
-/// scatter-plus-tree route of factor/sliced_bcast.hpp.
+/// scatter-plus-tree route of factor/engine25d.hpp.
 struct RowSlice {
   std::vector<int> tiles;  ///< my trailing row tiles
   Matrix values;           ///< (tiles * v) x slice
   grid::Range slice;       ///< k-range within the v panel columns
 };
 
-RowSlice multicast_rows(const Plan& plan, RankState& st, const Comm& comm,
+RowSlice multicast_rows(const Plan25D& plan, Rank25D& st, const Comm& comm,
                         int t, int l_star, int py_c, const PanelL10& panel) {
   RowSlice out;
   const int v = plan.v;
@@ -228,28 +142,12 @@ RowSlice multicast_rows(const Plan& plan, RankState& st, const Comm& comm,
 
   const Tag tag = make_tag(8, static_cast<std::uint32_t>(t), 0);
   if (panel.leader && !panel.tiles.empty()) {
-    // Scatter one packed slice per layer to the root of that layer's row
-    // tree: this leader's own process column on the layer.
-    const std::size_t nrows = panel.tiles.size() * static_cast<std::size_t>(v);
-    for (int l = 0; l < c; ++l) {
-      const auto slice = chunk_range(v, c, l);
-      if (slice.size() == 0) continue;
-      simnet::SharedBuffer buf;
-      if (plan.numeric) {
-        std::vector<double> packed;
-        packed.reserve(nrows * static_cast<std::size_t>(slice.size()));
-        for (std::size_t i = 0; i < nrows; ++i) {
-          const double* base = panel.full.data() +
-                               i * static_cast<std::size_t>(v) + slice.begin;
-          packed.insert(packed.end(), base, base + slice.size());
-        }
-        buf = simnet::make_shared_buffer(std::move(packed));
-      }
-      comm.send_shared(plan.g.rank_of({st.me.px, py_c, l}), tag,
-                       std::move(buf),
-                       nrows * static_cast<std::size_t>(slice.size()) *
-                           sizeof(double));
-    }
+    // One packed slice per layer to the root of that layer's row tree: this
+    // leader's own process column on the layer.
+    factor::scatter_layer_slices(
+        plan, comm, st.me.px, py_c, tag,
+        panel.tiles.size() * static_cast<std::size_t>(v) * sizeof(double),
+        [&](grid::Range k) { return factor::pack_columns(panel.full, k); });
   }
 
   const auto mine = owned_tiles(plan, t + 1, plan.g.px_extent(), st.me.px);
@@ -281,7 +179,7 @@ struct ColSlice {
   grid::Range slice;
 };
 
-ColSlice multicast_cols(const Plan& plan, RankState& st, const Comm& comm,
+ColSlice multicast_cols(const Plan25D& plan, Rank25D& st, const Comm& comm,
                         int t, int l_star, int py_c, const PanelL10& panel) {
   ColSlice out;
   const int v = plan.v;
@@ -298,31 +196,22 @@ ColSlice multicast_cols(const Plan& plan, RankState& st, const Comm& comm,
         if (panel.tiles[i] % py_count == py_d)
           group.push_back(static_cast<int>(i));
       if (group.empty()) continue;
-      // Scatter one packed (py_d, layer) strip to the root of that
-      // column's tree on the layer: the member in this leader's process
-      // row.
-      for (int l = 0; l < c; ++l) {
-        const auto slice = chunk_range(v, c, l);
-        if (slice.size() == 0) continue;
-        simnet::SharedBuffer buf;
-        if (plan.numeric) {
-          std::vector<double> packed;
-          packed.reserve(group.size() * static_cast<std::size_t>(v) *
-                         slice.size());
-          for (int i : group)
-            for (int q = 0; q < v; ++q) {
-              const double* base =
-                  panel.full.data() +
-                  (static_cast<std::size_t>(i) * v + q) * v + slice.begin;
-              packed.insert(packed.end(), base, base + slice.size());
-            }
-          buf = simnet::make_shared_buffer(std::move(packed));
-        }
-        comm.send_shared(plan.g.rank_of({st.me.px, py_d, l}), tag,
-                         std::move(buf),
-                         group.size() * static_cast<std::size_t>(v) *
-                             slice.size() * sizeof(double));
-      }
+      // One packed (py_d, layer) strip to the root of that column's tree
+      // on the layer: the member in this leader's process row.
+      factor::scatter_layer_slices(
+          plan, comm, st.me.px, py_d, tag,
+          group.size() * static_cast<std::size_t>(v) * sizeof(double),
+          [&](grid::Range k) {
+            std::vector<double> packed;
+            packed.reserve(group.size() * static_cast<std::size_t>(v) *
+                           static_cast<std::size_t>(k.size()));
+            for (int i : group)
+              for (int q = 0; q < v; ++q) {
+                const double* base = &panel.full(i * v + q, k.begin);
+                packed.insert(packed.end(), base, base + k.size());
+              }
+            return packed;
+          });
     }
   }
 
@@ -354,7 +243,7 @@ ColSlice multicast_cols(const Plan& plan, RankState& st, const Comm& comm,
 /// ---- Step 6: local symmetric Schur update with the layer's k-slice -------
 /// A11 -= L10 * L10^T, restricted to the lower-triangular tiles It >= Jt
 /// this rank owns (the strict upper tiles are dead storage).
-void schur_update_local(const Plan& plan, RankState& st, const RowSlice& rows,
+void schur_update_local(const Plan25D& plan, Rank25D& st, const RowSlice& rows,
                         const ColSlice& cols) {
   if (!plan.numeric) return;
   if (rows.tiles.empty() || cols.tiles.empty() || rows.slice.size() == 0)
@@ -384,7 +273,7 @@ void schur_update_local(const Plan& plan, RankState& st, const RowSlice& rows,
       const int gi = row0 + i;
       const int r = rows.tiles[static_cast<std::size_t>(gi) / v] * v + gi % v;
       auto pr = prod.row(i);
-      double* dst = &elem_at(plan, st, r, cols.tiles[tj] * v);
+      double* dst = &st.tiles.elem_at(r, cols.tiles[tj] * v);
       for (int k = 0; k < v; ++k) dst[k] -= pr[k];
     }
   }
@@ -396,39 +285,8 @@ CholResult Confchox25D::run(const linalg::Matrix* a, const CholConfig& cfg) {
   CONFLUX_EXPECTS(cfg.n >= 1 && cfg.p >= 1);
   CONFLUX_EXPECTS(cfg.mode == Mode::DryRun || a != nullptr);
 
-  const double mem = cfg.mem_elements > 0
-                         ? cfg.mem_elements
-                         : static_cast<double>(cfg.n) * cfg.n /
-                               std::pow(static_cast<double>(cfg.p), 2.0 / 3.0);
-
-  Plan plan;
-  plan.n = cfg.n;
-  plan.numeric = (cfg.mode == Mode::Numeric);
-  if (cfg.force_layers > 0 || !cfg.grid_optimization) {
-    int c = cfg.force_layers > 0
-                ? cfg.force_layers
-                : std::max(1, static_cast<int>(std::lround(
-                                  cfg.p * mem /
-                                  (static_cast<double>(cfg.n) * cfg.n))));
-    c = std::min(c, cfg.p);
-    const int front = std::max(1, cfg.p / c);
-    const int px = std::max(1, static_cast<int>(std::sqrt(
-                                   static_cast<double>(front))));
-    plan.g = Grid3D(px, std::max(1, front / px), c);
-  } else {
-    plan.g = grid::optimize_grid(cfg.p, cfg.n, mem, 0,
-                                 grid::confchox_cost_per_rank)
-                 .grid;
-  }
-  plan.active = plan.g.active();
-  plan.v = cfg.block > 0
-               ? cfg.block
-               : grid::choose_block_size(
-                     cfg.n, plan.g.layers(),
-                     grid::default_block_target(cfg.n, plan.g.layers()));
-  CONFLUX_EXPECTS_MSG(cfg.n % plan.v == 0,
-                      "block size " << plan.v << " must divide N=" << cfg.n);
-  plan.steps = cfg.n / plan.v;
+  const Plan25D plan =
+      factor::resolve_plan25d(cfg, grid::confchox_cost_per_rank);
 
   std::vector<StepRecord> records;
   const bool want_records = plan.numeric && (cfg.verify || cfg.keep_factors);
@@ -438,46 +296,21 @@ CholResult Confchox25D::run(const linalg::Matrix* a, const CholConfig& cfg) {
 
   simnet::Network net(plan.active, cfg.fabric);
   factor::attach_instruments(net, cfg);
-  plan.tel = cfg.telemetry;
   const simnet::Group world = simnet::Group::iota(plan.active);
 
   Stopwatch timer;
   simnet::run_spmd(net, [&](Comm& comm) {
-    RankState st;
-    st.me = plan.g.coord_of(comm.rank());
-    st.lines = factor::layer_lines(plan.g, st.me);
-
-    if (plan.numeric) {
-      // Tile storage; layer 0 holds A, other layers hold zero partial sums.
-      const int tiles_total = plan.n / plan.v;
-      st.ltr = (tiles_total - st.me.px + plan.g.px_extent() - 1) /
-               plan.g.px_extent();
-      st.ltc = (tiles_total - st.me.py + plan.g.py_extent() - 1) /
-               plan.g.py_extent();
-      st.tiles.assign(static_cast<std::size_t>(st.ltr) * st.ltc * plan.v *
-                          plan.v,
-                      0.0);
-      if (st.me.l == 0) {
-        for (int it = st.me.px; it < tiles_total; it += plan.g.px_extent())
-          for (int jt = st.me.py; jt <= it; jt += plan.g.py_extent()) {
-            double* tl = tile_at(plan, st, it, jt);
-            for (int i = 0; i < plan.v; ++i)
-              for (int j = 0; j < plan.v; ++j)
-                tl[static_cast<std::size_t>(i) * plan.v + j] =
-                    (*a)(it * plan.v + i, jt * plan.v + j);
-          }
-      }
-    }
-
+    // Only tiles It >= Jt carry data: the trailing matrix is symmetric, and
+    // the strict upper tiles are never read or written.
+    Rank25D st(plan, comm.rank(), a, /*lower_only=*/true);
     const int me = comm.rank();
     for (int t = 0; t < plan.steps; ++t) {
       const int l_star = t % plan.g.layers();
       const int py_c = t % plan.g.py_extent();
-      {
-        const telemetry::ScopedSpan span(plan.tel, me,
-                                         telemetry::kLayerReduction, t);
-        reduce_panel_column(plan, st, comm, t, l_star, py_c);      // step 1
-      }
+      factor::reduce_column_strip(                                 // step 1
+          plan, st, comm, t,
+          st.me.py == py_c ? owned_rows(plan, t, st.me.px)
+                           : std::vector<int>());
       Matrix a00;
       {
         const telemetry::ScopedSpan span(plan.tel, me,

@@ -1,10 +1,14 @@
 /// \file block_cyclic.hpp
-/// Block-cyclic index arithmetic shared by all distributed LU variants:
-/// tiles of size b are dealt round-robin to a 1D ring of p owners.
+/// Block-cyclic index arithmetic shared by the distributed factorizations:
+/// tiles of size b are dealt round-robin to a 1D ring of p owners, and the
+/// 2D baselines' per-rank view of a matrix dealt that way over a grid.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
+#include "grid/grid3d.hpp"
+#include "linalg/matrix.hpp"
 #include "support/assert.hpp"
 
 namespace conflux::grid {
@@ -84,6 +88,51 @@ class BlockCyclic1D {
 
  private:
   int n_, b_, p_;
+};
+
+/// One rank's share of an n x n matrix dealt in nb x nb tiles over a
+/// Pr x Pc grid whose ranks start at `base_rank` (the 2D baselines' local
+/// bookkeeping, shared by ScaLAPACK-style LU and Cholesky).
+struct Local2D {
+  /// The view of global rank `rank`.
+  Local2D(int n, int nb, const Grid2D& g, int base_rank, int rank);
+
+  Grid2D g;
+  int base_rank = 0;
+  int pr = 0, pc = 0;
+  BlockCyclic1D rowmap;
+  BlockCyclic1D colmap;
+  std::vector<int> my_rows;  ///< owned global rows, ascending
+  std::vector<int> my_cols;  ///< owned global cols, ascending
+  linalg::Matrix loc;        ///< numeric local block (my_rows x my_cols)
+
+  /// Allocate `loc` and copy this rank's entries of `a` into it; with
+  /// `lower_only`, only the entries on or below the diagonal.
+  void load(const linalg::Matrix& a, bool lower_only);
+
+  [[nodiscard]] int lrow(int global) const { return rowmap.local_of(global); }
+  [[nodiscard]] int lcol(int global) const { return colmap.local_of(global); }
+
+  /// First local row/col index whose global index is >= `global`.
+  [[nodiscard]] int lrow_lower_bound(int global) const {
+    return static_cast<int>(
+        std::lower_bound(my_rows.begin(), my_rows.end(), global) -
+        my_rows.begin());
+  }
+  [[nodiscard]] int lcol_lower_bound(int global) const {
+    return static_cast<int>(
+        std::lower_bound(my_cols.begin(), my_cols.end(), global) -
+        my_cols.begin());
+  }
+
+  /// Global rank of grid position (pr, pc).
+  [[nodiscard]] int rank_of(int pr, int pc) const {
+    return base_rank + g.rank_of(pr, pc);
+  }
+  /// Global ranks of process column `pc` (all pr) and of process row `pr`
+  /// (all pc), in grid order: the members of a column or row broadcast.
+  [[nodiscard]] std::vector<int> col_ranks(int pc) const;
+  [[nodiscard]] std::vector<int> row_ranks(int pr) const;
 };
 
 /// Split `n` items into `parts` near-equal contiguous chunks; returns the

@@ -1,17 +1,12 @@
 #include "lu/block25d.hpp"
 
 #include <algorithm>
-#include <cmath>
 
-#include "grid/block_cyclic.hpp"
-#include "grid/grid_opt.hpp"
+#include "factor/engine25d.hpp"
+#include "factor/step_records.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/panel.hpp"
-#include "factor/sliced_bcast.hpp"
-#include "factor/step_records.hpp"
-#include "simnet/collectives.hpp"
 #include "simnet/spmd.hpp"
-#include "support/random.hpp"
 #include "support/telemetry.hpp"
 #include "support/timer.hpp"
 
@@ -25,55 +20,28 @@ using factor::make_step_records;
 using factor::masked_growth_factor;
 using factor::masked_lu_residual;
 using factor::StepRecord;
-using grid::chunk_of;
 using grid::chunk_range;
-using grid::Coord3;
-using grid::Grid3D;
 using linalg::Matrix;
 using simnet::Comm;
 using simnet::make_tag;
 using simnet::Tag;
 
-/// Resolved run parameters shared by every rank.
-struct Plan {
-  int n = 0;
-  int v = 0;
-  int steps = 0;
-  Grid3D g{1, 1, 1};
-  int active = 0;
-  bool numeric = true;
+/// The shared 2.5D plan plus the LU policy knobs.
+struct Plan : factor::Plan25D {
   std::uint64_t seed = 42;
   PanelTournament tournament = PanelTournament::Butterfly;
-  telemetry::TelemetryBoard* tel = nullptr;  ///< ConfScope board (nullable)
 };
 
-/// Per-rank mutable state.
-struct RankState {
-  Coord3 me;
-  factor::LayerLines lines;  ///< this rank's process row and column
-  // Tile storage (numeric only): tiles It % Px == me.px, Jt % Py == me.py,
-  // packed [(It/Px) * ltc + (Jt/Py)] * v^2, row-major within a tile.
-  std::vector<double> tiles;
-  int ltr = 0, ltc = 0;
-  // Globally consistent pivot bookkeeping.
+/// Per-rank state: the shared tile store plus globally consistent pivot
+/// bookkeeping.
+struct RankState : factor::Rank25D {
   std::vector<std::uint8_t> pivoted;
   std::vector<int> pivot_order;
+
+  RankState(const Plan& plan, int rank, const Matrix* a)
+      : Rank25D(plan, rank, a, /*lower_only=*/false),
+        pivoted(static_cast<std::size_t>(plan.n), 0) {}
 };
-
-/// Pointer to the (It, Jt) tile owned by this rank.
-double* tile_at(const Plan& plan, RankState& st, int tile_row, int tile_col) {
-  const int lr = tile_row / plan.g.px_extent();
-  const int lc = tile_col / plan.g.py_extent();
-  return st.tiles.data() +
-         (static_cast<std::size_t>(lr) * st.ltc + lc) *
-             (static_cast<std::size_t>(plan.v) * plan.v);
-}
-
-/// Element reference inside the owned tile covering (row, col).
-double& elem_at(const Plan& plan, RankState& st, int row, int col) {
-  double* t = tile_at(plan, st, row / plan.v, col / plan.v);
-  return t[static_cast<std::size_t>(row % plan.v) * plan.v + col % plan.v];
-}
 
 /// Everything the ranks derive per outer step from the shared pivot state.
 struct StepView {
@@ -85,7 +53,8 @@ struct StepView {
   std::vector<std::vector<int>> rows_by_px;  ///< rem split by tile-row owner
 };
 
-StepView make_step_view(const Plan& plan, const RankState& st, int t) {
+StepView make_step_view(const Plan& plan,
+                        const std::vector<std::uint8_t>& pivoted, int t) {
   StepView sv;
   sv.t = t;
   sv.l_star = t % plan.g.layers();
@@ -94,61 +63,13 @@ StepView make_step_view(const Plan& plan, const RankState& st, int t) {
   sv.rem.reserve(static_cast<std::size_t>(plan.n - t * plan.v));
   sv.rows_by_px.resize(static_cast<std::size_t>(plan.g.px_extent()));
   for (int r = 0; r < plan.n; ++r) {
-    if (st.pivoted[static_cast<std::size_t>(r)]) continue;
+    if (pivoted[static_cast<std::size_t>(r)]) continue;
     sv.rem.push_back(r);
     sv.rows_by_px[static_cast<std::size_t>((r / plan.v) %
                                            plan.g.px_extent())]
         .push_back(r);
   }
   return sv;
-}
-
-/// ---- Step 1: reduce panel column t across layers onto l_star -------------
-void reduce_panel_column(const Plan& plan, RankState& st, const Comm& comm,
-                         const StepView& sv) {
-  if (plan.g.layers() == 1) return;
-  if (st.me.py != sv.py_c) return;
-  const auto& mine = sv.rows_by_px[static_cast<std::size_t>(st.me.px)];
-  if (mine.empty()) return;
-  const int v = plan.v;
-  const int col0 = sv.t * v;
-
-  if (st.me.l != sv.l_star) {
-    const Tag tag = make_tag(1, static_cast<std::uint32_t>(sv.t),
-                             static_cast<std::uint32_t>(st.me.l));
-    const int dst = plan.g.rank_of({st.me.px, sv.py_c, sv.l_star});
-    if (plan.numeric) {
-      std::vector<double> buf;
-      buf.reserve(mine.size() * static_cast<std::size_t>(v));
-      for (int r : mine) {
-        double* base = &elem_at(plan, st, r, col0);
-        buf.insert(buf.end(), base, base + v);
-        std::fill(base, base + v, 0.0);
-      }
-      comm.send(dst, tag, std::move(buf));
-    } else {
-      comm.send_ghost_doubles(dst, tag,
-                              mine.size() * static_cast<std::size_t>(v));
-    }
-  } else {
-    for (int l = 0; l < plan.g.layers(); ++l) {
-      if (l == sv.l_star) continue;
-      const Tag tag = make_tag(1, static_cast<std::uint32_t>(sv.t),
-                               static_cast<std::uint32_t>(l));
-      const int src = plan.g.rank_of({st.me.px, sv.py_c, l});
-      if (plan.numeric) {
-        // Accumulate straight out of the shared payload; no copy-out.
-        const simnet::BufferView buf = comm.recv_view(src, tag);
-        const double* in = buf.data();
-        for (int r : mine) {
-          double* base = &elem_at(plan, st, r, col0);
-          for (int k = 0; k < v; ++k) base[k] += *in++;
-        }
-      } else {
-        (void)comm.recv_ghost(src, tag);
-      }
-    }
-  }
 }
 
 /// ---- Step 2: tournament pivoting over the Px panel owners ---------------
@@ -164,113 +85,52 @@ struct TournamentOutcome {
 TournamentOutcome run_tournament(const Plan& plan, RankState& st,
                                  const Comm& comm, const StepView& sv) {
   TournamentOutcome out;
+  if (st.me.py != sv.py_c || st.me.l != sv.l_star) return out;
   const int px_count = plan.g.px_extent();
   const int v = plan.v;
-
-  if (!plan.numeric) {
-    // Ghost traffic replays the exact message sizes of the numeric
-    // tournament (butterfly or tree); the synthetic winners themselves are
-    // precomputed once by the host (see DrySchedule).
-    if (st.me.py == sv.py_c && st.me.l == sv.l_star) {
-      std::vector<std::size_t> size_of(
-          static_cast<std::size_t>(px_count));
-      for (int px = 0; px < px_count; ++px)
-        size_of[static_cast<std::size_t>(px)] = std::min<std::size_t>(
-            static_cast<std::size_t>(v),
-            sv.rows_by_px[static_cast<std::size_t>(px)].size());
-      auto pack_bytes = [v](std::size_t count) {
-        return (2 + count * (1 + static_cast<std::size_t>(v))) *
-               sizeof(double);
-      };
-      const int px = st.me.px;
-      if (plan.tournament == PanelTournament::Tree) {
-        // Replay the reduction tree: every rank walks the global schedule,
-        // ghosting its own edge and updating the size recursion
-        // (merged count saturates at v, exactly like tournament_round).
-        for (const linalg::TreeStep& step :
-             linalg::reduction_tree_schedule(px_count)) {
-          const Tag tag = make_tag(2, static_cast<std::uint32_t>(sv.t),
-                                   static_cast<std::uint32_t>(step.round));
-          if (step.src == px)
-            comm.send_ghost(
-                plan.g.rank_of({step.dst, sv.py_c, sv.l_star}), tag,
-                pack_bytes(size_of[static_cast<std::size_t>(step.src)]));
-          else if (step.dst == px)
-            (void)comm.recv_ghost(
-                plan.g.rank_of({step.src, sv.py_c, sv.l_star}), tag);
-          size_of[static_cast<std::size_t>(step.dst)] =
-              std::min<std::size_t>(
-                  static_cast<std::size_t>(v),
-                  size_of[static_cast<std::size_t>(step.dst)] +
-                      size_of[static_cast<std::size_t>(step.src)]);
-        }
-        out.have = true;
-        return out;
-      }
-      int fold = 1;
-      while (fold * 2 <= px_count) fold *= 2;
-      // Fold-in phase (ghost sizes follow the global size recursion).
-      if (px >= fold) {
-        comm.send_ghost(
-            plan.g.rank_of({px - fold, sv.py_c, sv.l_star}),
-            make_tag(2, static_cast<std::uint32_t>(sv.t), 0),
-            pack_bytes(size_of[static_cast<std::size_t>(px)]));
-      } else if (px + fold < px_count) {
-        (void)comm.recv_ghost(
-            plan.g.rank_of({px + fold, sv.py_c, sv.l_star}),
-            make_tag(2, static_cast<std::uint32_t>(sv.t), 0));
-      }
-      for (int q = 0; q + fold < px_count; ++q)
-        size_of[static_cast<std::size_t>(q)] = std::min<std::size_t>(
-            static_cast<std::size_t>(v),
-            size_of[static_cast<std::size_t>(q)] +
-                size_of[static_cast<std::size_t>(q + fold)]);
-      // Butterfly phase (all ranks replay the global size recursion).
-      if (px < fold) {
-        unsigned round = 1;
-        for (int mask = 1; mask < fold; mask <<= 1, ++round) {
-          const int partner = px ^ mask;
-          comm.send_ghost(
-              plan.g.rank_of({partner, sv.py_c, sv.l_star}),
-              make_tag(2, static_cast<std::uint32_t>(sv.t), round),
-              pack_bytes(size_of[static_cast<std::size_t>(px)]));
-          (void)comm.recv_ghost(
-              plan.g.rank_of({partner, sv.py_c, sv.l_star}),
-              make_tag(2, static_cast<std::uint32_t>(sv.t), round));
-          std::vector<std::size_t> next = size_of;
-          for (int q = 0; q < fold; ++q)
-            next[static_cast<std::size_t>(q)] = std::min<std::size_t>(
-                static_cast<std::size_t>(v),
-                size_of[static_cast<std::size_t>(q)] +
-                    size_of[static_cast<std::size_t>(q ^ mask)]);
-          size_of = std::move(next);
-        }
-      }
-    }
-    // Winners come from the host-precomputed schedule (filled in by the
-    // caller); nothing further to do here.
-    out.have = true;
-    return out;
-  }
-
-  // --- numeric tournament --------------------------------------------------
-  if (st.me.py != sv.py_c || st.me.l != sv.l_star) return out;
   const int px = st.me.px;
-  const int col0 = sv.t * v;
+  const auto& mine = sv.rows_by_px[static_cast<std::size_t>(px)];
 
+  // Numeric runs carry the candidate rows. Dry runs carry only their count:
+  // a ghost's size is the pack_candidates size of the set it stands for, and
+  // a merge keeps min(v, a + b) rows, exactly like tournament_round.
   linalg::PivotCandidates cand;
-  {
-    const auto& mine = sv.rows_by_px[static_cast<std::size_t>(px)];
+  std::size_t count = std::min<std::size_t>(static_cast<std::size_t>(v),
+                                            mine.size());
+  if (plan.numeric) {
     linalg::PivotCandidates local;
     local.rows = mine;
     local.values = Matrix(static_cast<int>(mine.size()), v);
     for (std::size_t i = 0; i < mine.size(); ++i) {
-      const double* base = &elem_at(plan, st, mine[i], col0);
+      const double* base = &st.tiles.elem_at(mine[i], sv.t * v);
       auto dst = local.values.row(static_cast<int>(i));
       std::copy(base, base + v, dst.begin());
     }
     cand = linalg::select_best(local, v);
   }
+  const std::size_t doubles_per_row = 1 + static_cast<std::size_t>(v);
+  auto send_to = [&](int dst_px, Tag tag) {
+    const int dst = plan.g.rank_of({dst_px, sv.py_c, sv.l_star});
+    if (plan.numeric)
+      comm.send(dst, tag, linalg::pack_candidates(cand));
+    else
+      comm.send_ghost_doubles(dst, tag, 2 + count * doubles_per_row);
+  };
+  auto merge_from = [&](int src_px, Tag tag) {
+    const int src = plan.g.rank_of({src_px, sv.py_c, sv.l_star});
+    if (plan.numeric) {
+      cand = linalg::tournament_round(
+          cand, linalg::unpack_candidates(comm.recv(src, tag)), v);
+    } else {
+      const std::size_t other =
+          (comm.recv_ghost(src, tag) / sizeof(double) - 2) / doubles_per_row;
+      count = std::min<std::size_t>(static_cast<std::size_t>(v),
+                                    count + other);
+    }
+  };
+  auto tag_of = [&](unsigned round) {
+    return make_tag(2, static_cast<std::uint32_t>(sv.t), round);
+  };
 
   if (plan.tournament == PanelTournament::Tree) {
     // TSLU reduction tree: odd multiples of the round's gap send their
@@ -279,53 +139,31 @@ TournamentOutcome run_tournament(const Plan& plan, RankState& st,
     // root finalizes.
     for (const linalg::TreeStep& step :
          linalg::reduction_tree_schedule(px_count)) {
-      const Tag tag = make_tag(2, static_cast<std::uint32_t>(sv.t),
-                               static_cast<std::uint32_t>(step.round));
       if (step.src == px) {
-        comm.send(plan.g.rank_of({step.dst, sv.py_c, sv.l_star}), tag,
-                  linalg::pack_candidates(cand));
-        return out;  // learns the pivots from the step-3 broadcast
+        send_to(step.dst, tag_of(static_cast<unsigned>(step.round)));
+        return out;
       }
-      if (step.dst == px) {
-        const auto other = linalg::unpack_candidates(
-            comm.recv(plan.g.rank_of({step.src, sv.py_c, sv.l_star}), tag));
-        cand = linalg::tournament_round(cand, other, v);
-      }
+      if (step.dst == px)
+        merge_from(step.src, tag_of(static_cast<unsigned>(step.round)));
     }
-    // Every participant > 0 sent exactly once above; only the root reaches
-    // this point.
-    const linalg::TournamentResult result = linalg::finalize_tournament(cand);
-    out.pivots = result.pivot_rows;
-    out.a00 = result.a00;
-    out.have = true;
-    return out;
+  } else {
+    // Butterfly: the non-power-of-two tail folds into the low half, which
+    // then exchanges pairwise across every mask bit.
+    int fold = 1;
+    while (fold * 2 <= px_count) fold *= 2;
+    if (px >= fold) {
+      send_to(px - fold, tag_of(0));
+      return out;  // learns the pivots from the step-3 broadcast
+    }
+    if (px + fold < px_count) merge_from(px + fold, tag_of(0));
+    unsigned round = 1;
+    for (int mask = 1; mask < fold; mask <<= 1, ++round) {
+      send_to(px ^ mask, tag_of(round));
+      merge_from(px ^ mask, tag_of(round));
+    }
   }
-
-  int fold = 1;
-  while (fold * 2 <= px_count) fold *= 2;
-
-  if (px >= fold) {
-    comm.send(plan.g.rank_of({px - fold, sv.py_c, sv.l_star}),
-              make_tag(2, static_cast<std::uint32_t>(sv.t), 0),
-              linalg::pack_candidates(cand));
-    return out;  // learns the pivots from the step-3 broadcast
-  }
-  if (px + fold < px_count) {
-    const auto other = linalg::unpack_candidates(
-        comm.recv(plan.g.rank_of({px + fold, sv.py_c, sv.l_star}),
-                  make_tag(2, static_cast<std::uint32_t>(sv.t), 0)));
-    cand = linalg::tournament_round(cand, other, v);
-  }
-  unsigned round = 1;
-  for (int mask = 1; mask < fold; mask <<= 1, ++round) {
-    const int partner_rank =
-        plan.g.rank_of({px ^ mask, sv.py_c, sv.l_star});
-    const Tag tag = make_tag(2, static_cast<std::uint32_t>(sv.t), round);
-    comm.send(partner_rank, tag, linalg::pack_candidates(cand));
-    const auto other = linalg::unpack_candidates(comm.recv(partner_rank, tag));
-    cand = linalg::tournament_round(cand, other, v);
-  }
-
+  // Dry winners come from the host-precomputed schedule (see DryStep).
+  if (!plan.numeric) return out;
   const linalg::TournamentResult result = linalg::finalize_tournament(cand);
   out.pivots = result.pivot_rows;
   out.a00 = result.a00;
@@ -379,7 +217,6 @@ void broadcast_pivot_block(const Plan& plan, RankState& st, const Comm& comm,
 struct Rem2 {
   std::vector<int> rows;                     ///< ascending
   std::vector<std::vector<int>> by_px;       ///< split by tile-row owner
-  std::vector<int> px_of_pos;                ///< owner px per position
 };
 
 Rem2 make_rem2(const Plan& plan, const StepView& sv,
@@ -392,7 +229,6 @@ Rem2 make_rem2(const Plan& plan, const StepView& sv,
     if (is_piv[static_cast<std::size_t>(r)]) continue;
     const int px = (r / plan.v) % plan.g.px_extent();
     rem2.rows.push_back(r);
-    rem2.px_of_pos.push_back(px);
     rem2.by_px[static_cast<std::size_t>(px)].push_back(r);
   }
   return rem2;
@@ -424,10 +260,9 @@ struct A10Panel {
 };
 
 A10Panel solve_a10_at_leaders(const Plan& plan, RankState& st,
-                              const Comm& comm, const StepView& sv,
-                              const Rem2& rem2, const Matrix& a00,
+                              const StepView& sv, const Rem2& rem2,
+                              const Matrix& a00,
                               std::vector<StepRecord>* records) {
-  (void)comm;
   A10Panel panel;
   const int v = plan.v;
   const int col0 = sv.t * v;
@@ -438,7 +273,7 @@ A10Panel solve_a10_at_leaders(const Plan& plan, RankState& st,
 
   panel.full = Matrix(static_cast<int>(mine.size()), v);
   for (std::size_t i = 0; i < mine.size(); ++i) {
-    const double* base = &elem_at(plan, st, mine[i], col0);
+    const double* base = &st.tiles.elem_at(mine[i], col0);
     auto dst = panel.full.row(static_cast<int>(i));
     std::copy(base, base + v, dst.begin());
   }
@@ -531,8 +366,8 @@ A01Panel solve_a01_at_aggregators(const Plan& plan, RankState& st,
       buf.reserve(seg_count * static_cast<std::size_t>(v));
       for (int jt : my_tile_cols)
         for (int q : my_qs) {
-          const double* base = &elem_at(
-              plan, st, pivots[static_cast<std::size_t>(q)], jt * v);
+          const double* base =
+              &st.tiles.elem_at(pivots[static_cast<std::size_t>(q)], jt * v);
           buf.insert(buf.end(), base, base + v);
         }
       comm.send(dst, tag, std::move(buf));
@@ -590,7 +425,7 @@ A01Panel solve_a01_at_aggregators(const Plan& plan, RankState& st,
 /// ---- Steps 8 / 10: layer-sliced panel broadcast -------------------------
 /// A10: row leaders (px, py_c, l_star) -> every (px, *, l), each layer only
 /// its v/c k-slice, over the scatter-plus-tree route of
-/// factor/sliced_bcast.hpp. Returns my slice.
+/// factor/engine25d.hpp. Returns my slice.
 struct A10Slice {
   std::vector<int> rows;  ///< global rows (this rank's tile rows in rem2)
   Matrix values;          ///< rows x slice_width
@@ -609,29 +444,12 @@ A10Slice multicast_a10(const Plan& plan, RankState& st, const Comm& comm,
   const auto& group_rows = rem2.by_px[static_cast<std::size_t>(st.me.px)];
   const Tag tag = make_tag(8, static_cast<std::uint32_t>(sv.t), 0);
   if (panel.leader && !group_rows.empty()) {
-    // Scatter one packed slice per layer to the root of that layer's row
-    // tree: this leader's own process column on the layer.
-    for (int l = 0; l < c; ++l) {
-      const auto slice = chunk_range(v, c, l);
-      if (slice.size() == 0) continue;
-      simnet::SharedBuffer buf;
-      if (plan.numeric) {
-        std::vector<double> packed;
-        packed.reserve(group_rows.size() *
-                       static_cast<std::size_t>(slice.size()));
-        for (std::size_t i = 0; i < group_rows.size(); ++i) {
-          const double* base = panel.full.data() +
-                               i * static_cast<std::size_t>(v) + slice.begin;
-          packed.insert(packed.end(), base, base + slice.size());
-        }
-        buf = simnet::make_shared_buffer(std::move(packed));
-      }
-      comm.send_shared(plan.g.rank_of({st.me.px, sv.py_c, l}), tag,
-                       std::move(buf),
-                       group_rows.size() *
-                           static_cast<std::size_t>(slice.size()) *
-                           sizeof(double));
-    }
+    // One packed slice per layer to the root of that layer's row tree: this
+    // leader's own process column on the layer.
+    factor::scatter_layer_slices(
+        plan, comm, st.me.px, sv.py_c, tag,
+        group_rows.size() * sizeof(double),
+        [&](grid::Range k) { return factor::pack_columns(panel.full, k); });
   }
 
   if (!group_rows.empty() && out.slice.size() > 0) {
@@ -667,27 +485,16 @@ A01Slice multicast_a01(const Plan& plan, RankState& st, const Comm& comm,
 
   const Tag tag = make_tag(10, static_cast<std::uint32_t>(sv.t), 0);
   if (panel.aggregator && !panel.my_cols.empty()) {
-    // Scatter one packed slice per layer to the root of that layer's
-    // column tree: this aggregator's own process row on the layer.
-    for (int l = 0; l < c; ++l) {
-      const auto slice = chunk_range(v, c, l);
-      if (slice.size() == 0) continue;
-      simnet::SharedBuffer buf;
-      if (plan.numeric) {
-        std::vector<double> packed;
-        packed.reserve(static_cast<std::size_t>(slice.size()) *
-                       panel.my_cols.size());
-        for (int q = slice.begin; q < slice.end; ++q) {
-          auto row = panel.agg.row(q);
-          packed.insert(packed.end(), row.begin(), row.end());
-        }
-        buf = simnet::make_shared_buffer(std::move(packed));
-      }
-      comm.send_shared(plan.g.rank_of({sv.px_c, st.me.py, l}), tag,
-                       std::move(buf),
-                       static_cast<std::size_t>(slice.size()) *
-                           panel.my_cols.size() * sizeof(double));
-    }
+    // One packed slice (whole rows k of A01) per layer to the root of that
+    // layer's column tree: this aggregator's own process row on the layer.
+    factor::scatter_layer_slices(
+        plan, comm, sv.px_c, st.me.py, tag,
+        panel.my_cols.size() * sizeof(double), [&](grid::Range k) {
+          const double* first = panel.agg.row(k.begin).data();
+          return std::vector<double>(
+              first, first + static_cast<std::size_t>(k.size()) *
+                                 panel.my_cols.size());
+        });
   }
 
   if (!panel.my_cols.empty() && out.slice.size() > 0) {
@@ -719,7 +526,7 @@ void schur_update_local(const Plan& plan, RankState& st, const A10Slice& a10,
   for (std::size_t i = 0; i < a10.rows.size(); ++i) {
     auto pr = prod.row(static_cast<int>(i));
     for (std::size_t j = 0; j < a01.cols.size(); ++j)
-      elem_at(plan, st, a10.rows[i], a01.cols[j]) -= pr[j];
+      st.tiles.elem_at(a10.rows[i], a01.cols[j]) -= pr[j];
   }
 }
 
@@ -730,39 +537,8 @@ LuResult run_block25d(const linalg::Matrix* a, const LuConfig& cfg,
   CONFLUX_EXPECTS(cfg.n >= 1 && cfg.p >= 1);
   CONFLUX_EXPECTS(cfg.mode == Mode::DryRun || a != nullptr);
 
-  const double mem = cfg.mem_elements > 0
-                         ? cfg.mem_elements
-                         : static_cast<double>(cfg.n) * cfg.n /
-                               std::pow(static_cast<double>(cfg.p), 2.0 / 3.0);
-
-  Plan plan;
-  plan.n = cfg.n;
-  plan.numeric = (cfg.mode == Mode::Numeric);
-  plan.seed = cfg.seed;
-  plan.tournament = tournament;
-  if (cfg.force_layers > 0 || !cfg.grid_optimization) {
-    int c = cfg.force_layers > 0
-                ? cfg.force_layers
-                : std::max(1, static_cast<int>(std::lround(
-                                  cfg.p * mem /
-                                  (static_cast<double>(cfg.n) * cfg.n))));
-    c = std::min(c, cfg.p);
-    const int front = std::max(1, cfg.p / c);
-    const int px = std::max(1, static_cast<int>(std::sqrt(
-                                   static_cast<double>(front))));
-    plan.g = Grid3D(px, std::max(1, front / px), c);
-  } else {
-    plan.g = grid::optimize_grid(cfg.p, cfg.n, mem).grid;
-  }
-  plan.active = plan.g.active();
-  plan.v = cfg.block > 0
-               ? cfg.block
-               : grid::choose_block_size(
-                     cfg.n, plan.g.layers(),
-                     grid::default_block_target(cfg.n, plan.g.layers()));
-  CONFLUX_EXPECTS_MSG(cfg.n % plan.v == 0,
-                      "block size " << plan.v << " must divide N=" << cfg.n);
-  plan.steps = cfg.n / plan.v;
+  Plan plan{factor::resolve_plan25d(cfg, grid::conflux_cost_per_rank),
+            cfg.seed, tournament};
 
   std::vector<StepRecord> records;
   const bool want_records = plan.numeric && (cfg.verify || cfg.keep_factors);
@@ -771,17 +547,16 @@ LuResult run_block25d(const linalg::Matrix* a, const LuConfig& cfg,
   // Dry runs: precompute the pivot schedule and per-step index sets once.
   std::vector<DryStep> dry_sched;
   if (!plan.numeric) {
-    RankState ghost;
-    ghost.pivoted.assign(static_cast<std::size_t>(plan.n), 0);
+    std::vector<std::uint8_t> pivoted(static_cast<std::size_t>(plan.n), 0);
     dry_sched.reserve(static_cast<std::size_t>(plan.steps));
     const int px_count = plan.g.px_extent();
     const int py_count = plan.g.py_extent();
     const int tiles_total = plan.n / plan.v;
     for (int t = 0; t < plan.steps; ++t) {
       DryStep ds;
-      ds.sv = make_step_view(plan, ghost, t);
-      ds.pivots = synthetic_pivots(ghost.pivoted, plan.n, plan.v, t, plan.seed);
-      for (int r : ds.pivots) ghost.pivoted[static_cast<std::size_t>(r)] = 1;
+      ds.sv = make_step_view(plan, pivoted, t);
+      ds.pivots = synthetic_pivots(pivoted, plan.n, plan.v, t, plan.seed);
+      for (int r : ds.pivots) pivoted[static_cast<std::size_t>(r)] = 1;
       ds.rem2 = make_rem2(plan, ds.sv, ds.pivots);
       ds.qs_of_px.resize(static_cast<std::size_t>(px_count));
       for (int q = 0; q < plan.v; ++q)
@@ -804,50 +579,19 @@ LuResult run_block25d(const linalg::Matrix* a, const LuConfig& cfg,
 
   simnet::Network net(plan.active, cfg.fabric);
   factor::attach_instruments(net, cfg);
-  plan.tel = cfg.telemetry;
   const simnet::Group world = simnet::Group::iota(plan.active);
 
   Stopwatch timer;
   simnet::run_spmd(net, [&](Comm& comm) {
-    RankState st;
-    st.me = plan.g.coord_of(comm.rank());
-    st.lines = factor::layer_lines(plan.g, st.me);
-    st.pivoted.assign(static_cast<std::size_t>(plan.n), 0);
-
-    if (plan.numeric) {
-      // Tile storage; layer 0 holds A, other layers hold zero partial sums.
-      const int tiles_total = plan.n / plan.v;
-      st.ltr = (tiles_total - st.me.px + plan.g.px_extent() - 1) /
-               plan.g.px_extent();
-      st.ltc = (tiles_total - st.me.py + plan.g.py_extent() - 1) /
-               plan.g.py_extent();
-      st.tiles.assign(static_cast<std::size_t>(st.ltr) * st.ltc * plan.v *
-                          plan.v,
-                      0.0);
-      if (st.me.l == 0) {
-        for (int it = st.me.px; it < tiles_total; it += plan.g.px_extent())
-          for (int jt = st.me.py; jt < tiles_total;
-               jt += plan.g.py_extent()) {
-            double* t = tile_at(plan, st, it, jt);
-            for (int i = 0; i < plan.v; ++i)
-              for (int j = 0; j < plan.v; ++j)
-                t[static_cast<std::size_t>(i) * plan.v + j] =
-                    (*a)(it * plan.v + i, jt * plan.v + j);
-          }
-      }
-    }
-
+    RankState st(plan, comm.rank(), a);
     const int me = comm.rank();
     for (int t = 0; t < plan.steps; ++t) {
       StepView sv_storage;
-      if (plan.numeric) sv_storage = make_step_view(plan, st, t);
+      if (plan.numeric) sv_storage = make_step_view(plan, st.pivoted, t);
       const StepView& sv =
           plan.numeric ? sv_storage : dry_sched[static_cast<std::size_t>(t)].sv;
-      {
-        const telemetry::ScopedSpan span(plan.tel, me,
-                                         telemetry::kLayerReduction, t);
-        reduce_panel_column(plan, st, comm, sv);                    // step 1
-      }
+      factor::reduce_column_strip(                                  // step 1
+          plan, st, comm, t, sv.rows_by_px[static_cast<std::size_t>(st.me.px)]);
       TournamentOutcome outcome;
       {
         const telemetry::ScopedSpan span(plan.tel, me,
@@ -876,7 +620,7 @@ LuResult run_block25d(const linalg::Matrix* a, const LuConfig& cfg,
       {
         const telemetry::ScopedSpan span(plan.tel, me, telemetry::kTrsm, t);
         a10_panel = solve_a10_at_leaders(                            // 4 + 7
-            plan, st, comm, sv, rem2, outcome.a00,
+            plan, st, sv, rem2, outcome.a00,
             want_records ? &records : nullptr);
         a01_panel = solve_a01_at_aggregators(                        // 5 + 9
             plan, st, comm, sv, outcome.pivots, outcome.a00,

@@ -9,6 +9,10 @@
 /// selects the v pivot rows. The engine takes that topology as a parameter,
 /// so the two backends are guaranteed to diverge only where the paper
 /// and the CALU line (arXiv 0808.2664) actually disagree.
+///
+/// What the engine shares with COnfCHOX (plan, tile store, step-1 layer
+/// reduction, layer-sliced broadcast route) lives in factor/engine25d.hpp;
+/// this engine adds the LU panel policy.
 #pragma once
 
 #include "lu/lu_common.hpp"

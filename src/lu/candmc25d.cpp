@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "grid/grid_opt.hpp"
-#include "linalg/getrf.hpp"
 #include "lu/scalapack2d.hpp"
 #include "simnet/spmd.hpp"
 #include "support/timer.hpp"
@@ -40,7 +39,6 @@ LuResult Candmc25D::run(const linalg::Matrix* a, const LuConfig& cfg) {
   linalg::Matrix gathered;
   std::vector<int> ipiv;
   const bool numeric = (cfg.mode == Mode::Numeric);
-  const bool verify = numeric && cfg.verify;
   const bool gather = numeric && (cfg.verify || cfg.keep_factors);
   if (gather) gathered = linalg::Matrix(cfg.n, cfg.n);
 
@@ -70,20 +68,7 @@ LuResult Candmc25D::run(const linalg::Matrix* a, const LuConfig& cfg) {
   factor::fill_comm_stats(result, net, active, cfg.p);
   result.grid = face.to_string() + " x " + std::to_string(c);
   result.block = nb;
-  if (verify) {
-    result.residual = linalg::lu_residual(*a, gathered.view(), ipiv);
-    result.growth = linalg::growth_factor(*a, gathered.view());
-    result.residual_eps = factor::residual_in_eps(result.residual);
-    std::vector<double> u_diag(static_cast<std::size_t>(cfg.n));
-    for (int i = 0; i < cfg.n; ++i)
-      u_diag[static_cast<std::size_t>(i)] = gathered(i, i);
-    result.pivot_stats = factor::pivot_stats(
-        linalg::pivots_to_permutation(ipiv, cfg.n), u_diag);
-  }
-  if (numeric && cfg.keep_factors) {
-    result.permutation = linalg::pivots_to_permutation(ipiv, cfg.n);
-    result.factors = std::make_shared<linalg::Matrix>(std::move(gathered));
-  }
+  if (gather) finish_gathered_lu(result, *a, cfg, std::move(gathered), ipiv);
   return result;
 }
 

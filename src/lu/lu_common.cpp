@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "linalg/getrf.hpp"
 #include "lu/calu25d.hpp"
 #include "lu/candmc25d.hpp"
 #include "lu/conflux25d.hpp"
@@ -28,6 +29,25 @@ std::vector<std::unique_ptr<LuAlgorithm>> all_algorithms() {
   algos.push_back(make_algorithm("COnfLUX"));
   algos.push_back(make_algorithm("CALU"));
   return algos;
+}
+
+void finish_gathered_lu(LuResult& result, const linalg::Matrix& a,
+                        const LuConfig& cfg, linalg::Matrix gathered,
+                        const std::vector<int>& ipiv) {
+  if (cfg.verify) {
+    result.residual = linalg::lu_residual(a, gathered.view(), ipiv);
+    result.growth = linalg::growth_factor(a, gathered.view());
+    result.residual_eps = factor::residual_in_eps(result.residual);
+    std::vector<double> u_diag(static_cast<std::size_t>(cfg.n));
+    for (int i = 0; i < cfg.n; ++i)
+      u_diag[static_cast<std::size_t>(i)] = gathered(i, i);
+    result.pivot_stats = factor::pivot_stats(
+        linalg::pivots_to_permutation(ipiv, cfg.n), u_diag);
+  }
+  if (cfg.keep_factors) {
+    result.permutation = linalg::pivots_to_permutation(ipiv, cfg.n);
+    result.factors = std::make_shared<linalg::Matrix>(std::move(gathered));
+  }
 }
 
 std::vector<int> synthetic_pivots(const std::vector<std::uint8_t>& pivoted,

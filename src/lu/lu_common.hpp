@@ -87,6 +87,14 @@ class LuAlgorithm : public factor::Factorization {
 /// CALU tournament-pivoting backend.
 [[nodiscard]] std::vector<std::unique_ptr<LuAlgorithm>> all_algorithms();
 
+/// Numeric tail of a run that gathers its factors in LAPACK getrf form
+/// (`gathered` holds L\U in place, `ipiv` the sequential row swaps): with
+/// cfg.verify, the residual, growth, residual_eps and pivot_stats of
+/// `result`; with cfg.keep_factors, its packed factors and permutation.
+void finish_gathered_lu(LuResult& result, const linalg::Matrix& a,
+                        const LuConfig& cfg, linalg::Matrix gathered,
+                        const std::vector<int>& ipiv);
+
 /// Deterministic synthetic pivot choice for dry runs: pick `v` rows from the
 /// not-yet-pivoted set by hashed order, which spreads pivots evenly across
 /// tile rows (the "with high probability, pivots are evenly distributed"

@@ -7,7 +7,6 @@
 #include "grid/block_cyclic.hpp"
 #include "grid/grid_opt.hpp"
 #include "linalg/blas.hpp"
-#include "linalg/getrf.hpp"
 #include "simnet/collectives.hpp"
 #include "simnet/spmd.hpp"
 #include "support/random.hpp"
@@ -18,8 +17,8 @@ namespace conflux::lu {
 
 namespace {
 
-using grid::BlockCyclic1D;
 using grid::Grid2D;
+using grid::Local2D;
 using linalg::Matrix;
 using simnet::Comm;
 using simnet::Group;
@@ -31,78 +30,17 @@ std::uint64_t swap_hash(std::uint64_t seed, int col) {
                     static_cast<std::uint64_t>(col) * 0x9E3779B97F4A7C15ULL);
 }
 
-/// Per-rank view of the 2D decomposition.
-struct Local2D {
-  int pr = 0, pc = 0;
-  BlockCyclic1D rowmap{1, 1, 1};
-  BlockCyclic1D colmap{1, 1, 1};
-  std::vector<int> my_rows;  ///< owned global rows, ascending
-  std::vector<int> my_cols;  ///< owned global cols, ascending
-  Matrix loc;                ///< numeric local block (my_rows x my_cols)
-
-  [[nodiscard]] int lrow(int g) const { return rowmap.local_of(g); }
-  [[nodiscard]] int lcol(int g) const { return colmap.local_of(g); }
-
-  /// First local row index whose global row is >= g.
-  [[nodiscard]] int lrow_lower_bound(int g) const {
-    return static_cast<int>(
-        std::lower_bound(my_rows.begin(), my_rows.end(), g) -
-        my_rows.begin());
-  }
-  [[nodiscard]] int lcol_lower_bound(int g) const {
-    return static_cast<int>(
-        std::lower_bound(my_cols.begin(), my_cols.end(), g) -
-        my_cols.begin());
-  }
-};
-
 }  // namespace
 
 void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
   const int n = params.n;
   const int nb = params.nb;
-  const Grid2D& g = params.g;
   const bool numeric = params.numeric;
   CONFLUX_EXPECTS(n % nb == 0);
   const int me_rank = comm.rank();
 
-  Local2D me;
-  {
-    const int local_id = comm.rank() - params.base_rank;
-    CONFLUX_EXPECTS(local_id >= 0 && local_id < g.active());
-    me.pr = g.row_of(local_id);
-    me.pc = g.col_of(local_id);
-    me.rowmap = BlockCyclic1D(n, nb, g.rows());
-    me.colmap = BlockCyclic1D(n, nb, g.cols());
-    me.my_rows = me.rowmap.indices_of_owner(me.pr);
-    me.my_cols = me.colmap.indices_of_owner(me.pc);
-    if (numeric) {
-      me.loc = Matrix(static_cast<int>(me.my_rows.size()),
-                      static_cast<int>(me.my_cols.size()));
-      for (std::size_t i = 0; i < me.my_rows.size(); ++i)
-        for (std::size_t j = 0; j < me.my_cols.size(); ++j)
-          me.loc(static_cast<int>(i), static_cast<int>(j)) =
-              (*params.a)(me.my_rows[i], me.my_cols[j]);
-    }
-  }
-
-  auto rank_of = [&](int pr, int pc) {
-    return params.base_rank + g.rank_of(pr, pc);
-  };
-  // The column group containing process column pc (all pr), and the row
-  // group containing process row pr (all pc).
-  auto col_group = [&](int pc) {
-    std::vector<int> ranks;
-    ranks.reserve(static_cast<std::size_t>(g.rows()));
-    for (int pr = 0; pr < g.rows(); ++pr) ranks.push_back(rank_of(pr, pc));
-    return Group(std::move(ranks));
-  };
-  auto row_group = [&](int pr) {
-    std::vector<int> ranks;
-    ranks.reserve(static_cast<std::size_t>(g.cols()));
-    for (int pc = 0; pc < g.cols(); ++pc) ranks.push_back(rank_of(pr, pc));
-    return Group(std::move(ranks));
-  };
+  Local2D me(n, nb, params.g, params.base_rank, comm.rank());
+  if (numeric) me.load(*params.a, /*lower_only=*/false);
 
   std::vector<int> ipiv(static_cast<std::size_t>(n), -1);
   const int steps = n / nb;
@@ -119,7 +57,7 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
       if (me.pc == pck) {
         const telemetry::ScopedSpan span(params.tel, me_rank,
                                          telemetry::kPanelTournament, s);
-        const Group cg = col_group(pck);
+        const Group cg(me.col_ranks(pck));
         for (int j = k0; j < k0 + kb; ++j) {
           const std::uint32_t js = static_cast<std::uint32_t>(j - k0);
           // Local pivot search in column j, rows >= j.
@@ -150,7 +88,7 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
                             me.loc(r2, me.lcol(col)));
               }
             } else if (me.pr == o1 || me.pr == o2) {
-              const int other = rank_of(me.pr == o1 ? o2 : o1, pck);
+              const int other = me.rank_of(me.pr == o1 ? o2 : o1, pck);
               const int my_row = me.lrow(me.pr == o1 ? j : piv);
               std::vector<double> buf;
               buf.reserve(static_cast<std::size_t>(kb));
@@ -199,7 +137,7 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
             j + static_cast<int>(swap_hash(params.seed, j) %
                                  static_cast<std::uint64_t>(n - j));
       if (me.pc == pck) {
-        const Group cg = col_group(pck);
+        const Group cg(me.col_ranks(pck));
         const std::size_t pair_bytes =
             static_cast<std::size_t>(kb) * (sizeof(double) + sizeof(int));
         simnet::reduce_ghost(comm, cg, 0, pair_bytes, make_tag(20, ts, 0));
@@ -219,7 +157,7 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
           if (o1 == o2) continue;
           const std::uint32_t js = static_cast<std::uint32_t>(j - k0);
           if (me.pr == o1 || me.pr == o2) {
-            const int other = rank_of(me.pr == o1 ? o2 : o1, pck);
+            const int other = me.rank_of(me.pr == o1 ? o2 : o1, pck);
             comm.send_ghost_doubles(other, make_tag(21, ts, js),
                                     static_cast<std::size_t>(kb));
             (void)comm.recv_ghost(other, make_tag(21, ts, js));
@@ -233,7 +171,7 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
     {
       const telemetry::ScopedSpan span(params.tel, me_rank,
                                        telemetry::kPivotApply, s);
-      const Group rg = row_group(me.pr);
+      const Group rg(me.row_ranks(me.pr));
       if (numeric) {
         std::vector<int> piv_step(ipiv.begin() + k0, ipiv.begin() + k0 + kb);
         simnet::bcast_ints(comm, rg, pck, piv_step, make_tag(26, ts, 0));
@@ -319,7 +257,7 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
         }
         if (me.pr == osrc) {
           Outgoing out;
-          out.dst_rank = rank_of(odst, me.pc);
+          out.dst_rank = me.rank_of(odst, me.pc);
           out.tag = make_tag(23, ts, pair_id);
           out.count = mv.size() * out_count;
           if (numeric) {
@@ -364,7 +302,7 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
         ++pair_id;
         if (osrc == odst || me.pr != odst) continue;
         const Tag tag = make_tag(23, ts, pair_id);
-        const int src_rank = rank_of(osrc, me.pc);
+        const int src_rank = me.rank_of(osrc, me.pc);
         if (numeric) {
           const simnet::BufferView buf = comm.recv_view(src_rank, tag);
           const double* in = buf.data();
@@ -387,7 +325,7 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
     {
       const telemetry::ScopedSpan span(params.tel, me_rank,
                                        telemetry::kSchurUpdate, s);
-      const Group rg = row_group(me.pr);
+      const Group rg(me.row_ranks(me.pr));
       const Tag tag = make_tag(24, ts, 0);
       if (numeric) {
         std::vector<double> buf;
@@ -415,7 +353,7 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
     {
       const telemetry::ScopedSpan span(params.tel, me_rank,
                                        telemetry::kTrsm, s);
-      const Group cg = col_group(me.pc);
+      const Group cg(me.col_ranks(me.pc));
       const Tag tag = make_tag(25, ts, 0);
       if (numeric) {
         std::vector<double> buf;
@@ -499,7 +437,6 @@ LuResult ScaLapack2D::run(const linalg::Matrix* a, const LuConfig& cfg) {
 
   linalg::Matrix gathered;
   std::vector<int> ipiv;
-  const bool verify = params.numeric && cfg.verify;
   const bool gather = params.numeric && (cfg.verify || cfg.keep_factors);
   if (gather) {
     gathered = linalg::Matrix(cfg.n, cfg.n);
@@ -518,21 +455,7 @@ LuResult ScaLapack2D::run(const linalg::Matrix* a, const LuConfig& cfg) {
   factor::fill_comm_stats(result, net, g.active(), cfg.p);
   result.grid = g.to_string();
   result.block = nb;
-  if (verify) {
-    result.residual = linalg::lu_residual(*a, gathered.view(), ipiv);
-    result.growth = linalg::growth_factor(*a, gathered.view());
-    result.residual_eps = factor::residual_in_eps(result.residual);
-    std::vector<double> u_diag(static_cast<std::size_t>(cfg.n));
-    for (int i = 0; i < cfg.n; ++i)
-      u_diag[static_cast<std::size_t>(i)] = gathered(i, i);
-    result.pivot_stats = factor::pivot_stats(
-        linalg::pivots_to_permutation(ipiv, cfg.n), u_diag);
-  }
-  if (params.numeric && cfg.keep_factors) {
-    result.permutation = linalg::pivots_to_permutation(ipiv, cfg.n);
-    result.factors =
-        std::make_shared<linalg::Matrix>(std::move(gathered));
-  }
+  if (gather) finish_gathered_lu(result, *a, cfg, std::move(gathered), ipiv);
   return result;
 }
 

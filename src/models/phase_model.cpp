@@ -4,8 +4,8 @@
 #include <cmath>
 #include <span>
 
+#include "factor/engine25d.hpp"
 #include "grid/block_cyclic.hpp"
-#include "grid/grid_opt.hpp"
 #include "support/assert.hpp"
 
 namespace conflux::models {
@@ -63,8 +63,9 @@ double tree_bytes(int px_count, double s0, int v) {
   return bytes;
 }
 
-/// Grid, block size and derived extents — the same choices run_block25d
-/// makes with a default config, shared by the volume and time models.
+/// Grid, block size and derived extents of a default-config COnfLUX/CALU
+/// run: the shape factor::resolve_plan25d gives run_block25d, shared by the
+/// volume and time models.
 struct LuShape {
   grid::Grid3D g;
   int v = 0;
@@ -73,16 +74,16 @@ struct LuShape {
 };
 
 LuShape lu_shape(int n, int p) {
-  const double mem = static_cast<double>(n) * n /
-                     std::pow(static_cast<double>(p), 2.0 / 3.0);
-  LuShape s{grid::optimize_grid(p, n, mem).grid, 0, 0, 0, 0, 0, 0};
-  s.v = grid::choose_block_size(
-      n, s.g.layers(), grid::default_block_target(n, s.g.layers()));
+  factor::FactorConfig cfg;
+  cfg.n = n;
+  cfg.p = p;
+  const factor::Plan25D plan =
+      factor::resolve_plan25d(cfg, grid::conflux_cost_per_rank);
+  LuShape s{plan.g, plan.v, 0, 0, 0, plan.steps, 0};
   s.px = s.g.px_extent();
   s.py = s.g.py_extent();
   s.c = s.g.layers();
   s.active = s.g.active();
-  s.steps = n / s.v;
   return s;
 }
 
@@ -327,7 +328,7 @@ std::vector<PhaseTime> predict_lu_phase_times(const std::string& algo, int n,
     take(reduce);
 
     // Steps 8 + 10: layer-sliced broadcasts over the scatter-plus-tree
-    // route (factor/sliced_bcast.hpp). Each owner first sends every layer's
+    // route (factor/engine25d.hpp). Each owner first sends every layer's
     // slice to that layer's tree root, its own grid position on the layer
     // (free on its home layer), then the per-layer trees run. Lines and
     // layers are disjoint, so only the owner's order matters.

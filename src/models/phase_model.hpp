@@ -58,7 +58,7 @@ struct PhaseTime {
 /// broadcast, the lazy A01 reduction, and the layer-sliced broadcasts of
 /// steps 8 + 10: each owner first sends every layer's slice to that
 /// layer's tree root, then the per-layer binomial trees run, as in
-/// factor/sliced_bcast.hpp). The only approximation is the even pivot-row
+/// factor/engine25d.hpp). The only approximation is the even pivot-row
 /// split, so
 /// the prediction tracks a virtual-time dry run's measured makespan
 /// (FactorResult::predicted_seconds) to within a few percent — the tests

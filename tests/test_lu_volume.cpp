@@ -227,56 +227,111 @@ TEST(WeakScaling, TwoPointFiveDStaysFlat) {
   EXPECT_GT(libsci_large / libsci_small, conflux_large / conflux_small);
 }
 
-/// One pinned dry run: total bytes and messages of a 2.5D engine on a
-/// fixed grid, recorded when steps 8/10 (COnfCHOX: 4/5) were still flat
-/// fan-outs from the panel owner. The scatter-plus-tree route changes who
-/// sends each slice, never how many messages or bytes travel.
+/// One pinned dry run: total bytes, messages and busiest-rank bytes of a
+/// backend on a fixed grid, plus the predicted makespan of the same dry run
+/// on the VirtualTime fabric (default LinkModel). The 2.5D volumes were
+/// first recorded when steps 8/10 (COnfCHOX: 4/5) were still flat fan-outs
+/// from the panel owner; the scatter-plus-tree route changes who sends each
+/// slice, never how many messages or bytes travel. Busiest-rank bytes and
+/// makespans were recorded after that route landed. Every value is a pure
+/// function of the schedule, so a refactor that keeps each rank's message
+/// order keeps all four bit-identical.
 struct PinnedRun {
   const char* algo;
   int n, p, layers;  ///< layers 0 = grid optimizer (auto)
-  std::uint64_t bytes, messages;
+  std::uint64_t bytes, messages, max_rank_bytes;
+  double predicted_seconds;
 };
+
+factor::FactorResult pinned_dry_run(const PinnedRun& pin,
+                                    simnet::ExecMode exec) {
+  const std::string algo = pin.algo;
+  auto configure = [&](factor::FactorConfig& cfg) {
+    cfg.n = pin.n;
+    cfg.p = pin.p;
+    cfg.mode = Mode::DryRun;
+    cfg.force_layers = pin.layers;
+    cfg.grid_optimization = pin.layers == 0;
+    cfg.fabric.mode = exec;
+  };
+  if (algo == "COnfCHOX" || algo == "ScaLAPACK") {
+    cholesky::CholConfig cfg;
+    configure(cfg);
+    return cholesky::make_cholesky_algorithm(algo)->run(nullptr, cfg);
+  }
+  LuConfig cfg;
+  configure(cfg);
+  return make_algorithm(algo)->run(nullptr, cfg);
+}
 
 class PinnedVolume : public ::testing::TestWithParam<PinnedRun> {};
 
-TEST_P(PinnedVolume, BroadcastRouteKeepsTotalTraffic) {
+TEST_P(PinnedVolume, TrafficAndMakespanStayPinned) {
   const PinnedRun pin = GetParam();
-  factor::FactorResult run;
-  if (std::string(pin.algo) == "COnfCHOX") {
-    cholesky::CholConfig cfg;
-    cfg.n = pin.n;
-    cfg.p = pin.p;
-    cfg.mode = Mode::DryRun;
-    cfg.force_layers = pin.layers;
-    cfg.grid_optimization = pin.layers == 0;
-    run = cholesky::make_cholesky_algorithm(pin.algo)->run(nullptr, cfg);
-  } else {
-    LuConfig cfg;
-    cfg.n = pin.n;
-    cfg.p = pin.p;
-    cfg.mode = Mode::DryRun;
-    cfg.force_layers = pin.layers;
-    cfg.grid_optimization = pin.layers == 0;
-    run = make_algorithm(pin.algo)->run(nullptr, cfg);
-  }
+  const factor::FactorResult run =
+      pinned_dry_run(pin, simnet::ExecMode::Threaded);
   EXPECT_EQ(run.total.bytes_sent, pin.bytes) << pin.algo << " " << run.grid;
   EXPECT_EQ(run.total.messages_sent, pin.messages)
       << pin.algo << " " << run.grid;
+  EXPECT_EQ(run.max_rank_bytes, pin.max_rank_bytes)
+      << pin.algo << " " << run.grid;
+
+  // The virtual clock is deterministic by construction: exact equality.
+  const factor::FactorResult vt =
+      pinned_dry_run(pin, simnet::ExecMode::VirtualTime);
+  EXPECT_EQ(vt.total.bytes_sent, pin.bytes) << pin.algo << " " << vt.grid;
+  EXPECT_EQ(vt.predicted_seconds, pin.predicted_seconds)
+      << pin.algo << " " << vt.grid;
 }
 
 // Grids: [2 x 2 x 2], then [3 x 3 x 2] and [3 x 5 x 2] (c > 1, lines that
-// are not powers of two).
+// are not powers of two). The 2D baselines run at the same N and P on the
+// grids their own rules pick.
 INSTANTIATE_TEST_SUITE_P(
     ThreeGrids, PinnedVolume,
-    ::testing::Values(PinnedRun{"COnfLUX", 128, 8, 0, 479608, 208},
-                      PinnedRun{"CALU", 128, 8, 0, 463432, 200},
-                      PinnedRun{"COnfCHOX", 128, 8, 0, 376832, 156},
-                      PinnedRun{"COnfLUX", 192, 18, 2, 1562040, 741},
-                      PinnedRun{"CALU", 192, 18, 2, 1536688, 729},
-                      PinnedRun{"COnfCHOX", 192, 18, 2, 1302528, 558},
-                      PinnedRun{"COnfLUX", 240, 30, 2, 3118168, 1503},
-                      PinnedRun{"CALU", 240, 30, 2, 3086104, 1488},
-                      PinnedRun{"COnfCHOX", 240, 30, 2, 2734080, 1443}));
+    ::testing::Values(
+        PinnedRun{"COnfLUX", 128, 8, 0, 479608, 208, 143096,
+                  6.8850399999999953e-05},
+        PinnedRun{"CALU", 128, 8, 0, 463432, 200, 134464,
+                  6.8824799999999965e-05},
+        PinnedRun{"COnfCHOX", 128, 8, 0, 376832, 156, 120832,
+                  4.717919999999997e-05},
+        PinnedRun{"LibSci", 128, 8, 0, 448000, 134, 218880,
+                  7.6374399999999917e-05},
+        PinnedRun{"SLATE", 128, 8, 0, 403712, 328, 109440,
+                  0.00010496639999999992},
+        PinnedRun{"CANDMC", 128, 8, 0, 498688, 220, 152832,
+                  6.8769599999999898e-05},
+        PinnedRun{"ScaLAPACK", 128, 8, 0, 196608, 15, 131072,
+                  2.1384000000000004e-05},
+        PinnedRun{"COnfLUX", 192, 18, 2, 1562040, 741, 203232,
+                  0.00012412319999999995},
+        PinnedRun{"CALU", 192, 18, 2, 1536688, 729, 198848,
+                  0.00012230159999999994},
+        PinnedRun{"COnfCHOX", 192, 18, 2, 1302528, 558, 184320,
+                  7.3713599999999951e-05},
+        PinnedRun{"LibSci", 192, 18, 2, 1550080, 376, 369152,
+                  0.00016026560000000003},
+        PinnedRun{"SLATE", 192, 18, 2, 1334016, 1054, 197056,
+                  0.00020900959999999919},
+        PinnedRun{"CANDMC", 192, 18, 2, 1906688, 572, 270080,
+                  0.00014280480000000001},
+        PinnedRun{"ScaLAPACK", 192, 18, 2, 884736, 57, 327680,
+                  5.2875200000000005e-05},
+        PinnedRun{"COnfLUX", 240, 30, 2, 3118168, 1503, 233672,
+                  0.00016980800000000002},
+        PinnedRun{"CALU", 240, 30, 2, 3086104, 1488, 230104,
+                  0.00016747840000000001},
+        PinnedRun{"COnfCHOX", 240, 30, 2, 2734080, 1443, 216064,
+                  0.00012609919999999965},
+        PinnedRun{"LibSci", 240, 30, 2, 2880960, 702, 425040,
+                  0.00022203999999999933},
+        PinnedRun{"SLATE", 240, 30, 2, 2823616, 2232, 237056,
+                  0.00025868159999999936},
+        PinnedRun{"CANDMC", 240, 30, 2, 4078080, 916, 453360,
+                  0.00019548799999999941},
+        PinnedRun{"ScaLAPACK", 240, 30, 2, 2016000, 140, 489600,
+                  8.6759999999999976e-05}));
 
 }  // namespace
 }  // namespace conflux::lu

@@ -293,18 +293,20 @@ TEST(Telemetry, CountersMergeByName) {
 
 TEST(Telemetry, PhaseTotalsUseExclusiveTime) {
   telemetry::TelemetryBoard board(1);
+  // Drive the stamps from a local counter, so the self times are exact.
+  std::uint64_t clock_ns = 0;
+  board.set_virtual_clock(&clock_ns);
   board.open_span(0, telemetry::kSchurUpdate);
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  clock_ns += 5'000'000;
   board.open_span(0, telemetry::kLayerReduction);
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  clock_ns += 10'000'000;
   board.close_span(0);
   board.close_span(0);
   const auto totals = board.phase_totals();
   // The nested 10 ms belongs to layer_reduction alone; schur_update keeps
-  // only its ~5 ms of self time.
-  EXPECT_GE(totals.at(telemetry::kLayerReduction).seconds, 0.008);
-  EXPECT_LT(totals.at(telemetry::kSchurUpdate).seconds, 0.010);
-  EXPECT_GE(totals.at(telemetry::kSchurUpdate).seconds, 0.002);
+  // only its 5 ms of self time.
+  EXPECT_EQ(totals.at(telemetry::kLayerReduction).seconds, 0.010);
+  EXPECT_EQ(totals.at(telemetry::kSchurUpdate).seconds, 0.005);
 }
 
 TEST(Telemetry, ChromeTraceIsValidLoadableJson) {
